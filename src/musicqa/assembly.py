@@ -15,18 +15,16 @@ Captioning/QA/MCQ/Binary) and merge associatively.
 from __future__ import annotations
 
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import blake2b, sha256
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .corpus import Source, parse_source
+from .corpus import Source, atomic_writer, parse_source
 from .errors import MusicQaError, ParseError
-from .llmgen import normalize_binary_answer, validate_qa_item
+from .llmgen import content_qa_id, normalize_binary_answer, validate_qa_item
 from .rulegen import Method, QAFormat, QAItem
 
 CAPTION_INSTRUCTION = "Describe the music in detail."
@@ -107,21 +105,10 @@ def item_from_dict(obj: dict, line_no: Optional[int] = None) -> QAItem:
 
 def write_items_jsonl(items: Iterable[QAItem], path: str | Path) -> None:
     """Atomic whole-file write: readers never observe a partial file."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for item in items:
-                fh.write(item_to_json(item))
-                fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_writer(path) as fh:
+        for item in items:
+            fh.write(item_to_json(item))
+            fh.write("\n")
 
 
 def read_items_jsonl(path: str | Path) -> list[QAItem]:
@@ -244,11 +231,9 @@ def write_shards(items: Sequence[QAItem], shard_size: int, out_dir: str | Path) 
             write_items_jsonl(chunk, path)
             shards.append({"path": name, "items": len(chunk), "digest": _file_digest(path)})
         manifest = {"total_items": len(ordered), "shard_size": shard_size, "shards": shards}
-        fd, tmp = tempfile.mkstemp(dir=out, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with atomic_writer(out / _MANIFEST_NAME) as fh:
             json.dump(manifest, fh, indent=2)
             fh.write("\n")
-        os.replace(tmp, out / _MANIFEST_NAME)
     except OSError as exc:
         raise IoError(f"failed writing shards to {out}: {exc}") from exc
     return manifest
@@ -388,15 +373,6 @@ def filter_formats(items: Iterable[QAItem], keep: set[QAFormat]) -> list[QAItem]
 # External imports
 
 
-def _imported_qa_id(audio_id: str, fmt: QAFormat, question: str, answer: str) -> str:
-    h = blake2b(digest_size=8)
-    for part in (audio_id, fmt.value, question, answer):
-        data = part.encode("utf-8")
-        h.update(len(data).to_bytes(4, "big"))
-        h.update(data)
-    return h.hexdigest()
-
-
 def import_external(raw: bytes | str, source: Source | str) -> list[QAItem]:
     """Convert external caption or QA JSONL into QAItems.
 
@@ -453,7 +429,7 @@ def import_external(raw: bytes | str, source: Source | str) -> list[QAItem]:
                 answer_index = options.index(answer)
             category = str(obj.get("category", ""))
         item = QAItem(
-            qa_id=_imported_qa_id(audio_id, fmt, question, answer),
+            qa_id=content_qa_id(audio_id, fmt.value, question, answer),
             audio_id=audio_id,
             source=src,
             format=fmt,

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -37,6 +35,7 @@ from .assembly import (
 from .corpus import (
     DuplicateClipError,
     Source,
+    atomic_writer,
     compute_label_frequencies,
     filter_music_clips,
     load_manifest,
@@ -165,20 +164,9 @@ def _summary(command: str, **data) -> None:
 
 
 def _write_json(path: str | Path, obj) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2, ensure_ascii=False, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_writer(path) as fh:
+        json.dump(obj, fh, indent=2, ensure_ascii=False, sort_keys=True)
+        fh.write("\n")
 
 
 def _read_text(path: str | Path) -> str:

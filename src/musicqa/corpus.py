@@ -16,13 +16,40 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from pathlib import Path
+from typing import Iterator, TextIO
 
 from .errors import MusicQaError, ParseError
 from .ontology import Ontology, leaf_labels
 
 log = logging.getLogger(__name__)
+
+
+@contextmanager
+def atomic_writer(path: str | Path) -> Iterator[TextIO]:
+    """UTF-8 text handle whose content replaces ``path`` only on success.
+
+    Readers never observe a partial file, and a failed write leaves no
+    temp file behind.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class Source(str, Enum):

@@ -200,7 +200,6 @@ class EvalReport:
                 "total": sum(t.total for t in self.tasks.values()),
                 "mean": self.overall_mean,
             },
-            "bertscore": None,
         }
         if self.relative is not None:
             out["relative_to_baseline"] = self.relative

@@ -19,7 +19,6 @@ import json
 import logging
 import os
 import random
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor, as_completed
@@ -31,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import requests
 
-from .corpus import ClipRecord
+from .corpus import ClipRecord, atomic_writer
 from .errors import MusicQaError, ParseError
 from .rulegen import Method, QAFormat, QAItem
 
@@ -299,17 +298,8 @@ class LlmClient:
         self._memory[key] = content
         if self.cache_dir is None:
             return
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(content)
-            os.replace(tmp, self._cache_path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with atomic_writer(self._cache_path(key)) as fh:
+            fh.write(content)
 
     # -- calls ---------------------------------------------------------
 
@@ -480,10 +470,13 @@ def validate_qa_item(item: QAItem) -> list[str]:
     return violations
 
 
-def llm_qa_id(audio_id: str, fmt: QAFormat, question: str) -> str:
-    """Content-derived id; the same cached response maps to the same ids."""
+def content_qa_id(*parts: str) -> str:
+    """Id hashed from length-prefixed parts, for LLM and imported items.
+
+    The same cached response, or the same imported line, maps to the same id.
+    """
     h = blake2b(digest_size=8)
-    for part in (audio_id, fmt.value, question):
+    for part in parts:
         data = part.encode("utf-8")
         h.update(len(data).to_bytes(4, "big"))
         h.update(data)
@@ -562,7 +555,7 @@ def _element_to_item(element, clip: ClipRecord) -> QAItem | str:
         answer = normalized
 
     item = QAItem(
-        qa_id=llm_qa_id(clip.audio_id, fmt, question),
+        qa_id=content_qa_id(clip.audio_id, fmt.value, question),
         audio_id=clip.audio_id,
         source=clip.source,
         format=fmt,

@@ -11,15 +11,16 @@ pool runs short.
 Everything is a pure function of (inputs, global seed): each item derives
 its own entropy from (global seed, audio id, item counter), so output is
 identical no matter how clips are ordered or spread across workers.  The
-batch path is written for volume; RuleGenerator prerenders question text
-per (template, category) and draws from precomputed cumulative weight
-tables.
+entropy's first half picks the template and the top bit of its second
+half flips the binary coin; a splitmix64 stream seeded from the second
+half draws distractors and shuffles options.  RuleGenerator prerenders
+question text per (template, category) and draws from precomputed
+cumulative weight tables.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import multiprocessing
 import struct
 from bisect import bisect_right
@@ -29,20 +30,13 @@ from hashlib import blake2b
 from importlib import resources
 from itertools import accumulate
 from operator import attrgetter
-from random import Random
 from typing import Callable, NamedTuple, Optional
 
 from .corpus import ClipRecord, LabelFrequencyTable, Source
 from .errors import MusicQaError, ParseError
 from .ontology import Ontology, OntologyNode, leaf_labels, parent_categories
 
-log = logging.getLogger(__name__)
-
 _MASK64 = (1 << 64) - 1
-
-
-class NoTemplateError(MusicQaError):
-    """No question template matches the requested (format, category)."""
 
 
 class PlaceholderError(MusicQaError):
@@ -172,15 +166,6 @@ def _item_entropy(prefix: bytes, item_counter: int) -> tuple[int, int]:
     return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:], "big")
 
 
-def clip_rng_seed(global_seed: int, audio_id: str, item_counter: int) -> int:
-    """Stable 64-bit seed for one generated item.
-
-    Identical inputs give identical seeds on every run, interpreter and
-    worker count; any input change rewrites the seed.
-    """
-    return _item_entropy(_seed_prefix(global_seed, audio_id), item_counter)[1]
-
-
 def qa_item_id(audio_id: str, fmt: QAFormat | str, template_id: Optional[str], seed: int) -> str:
     """Stable item id; the seed already folds in the global seed and counter."""
     fmt_value = fmt.value if isinstance(fmt, QAFormat) else fmt
@@ -189,7 +174,7 @@ def qa_item_id(audio_id: str, fmt: QAFormat | str, template_id: Optional[str], s
 
 
 class _SplitMix:
-    """splitmix64 stream; cheap deterministic uniforms for the batch path."""
+    """splitmix64 stream: the cheap deterministic uniforms behind every draw."""
 
     __slots__ = ("state",)
 
@@ -266,32 +251,6 @@ def _matching_templates(
     if exact:
         return exact
     return [t for t in templates if t.format == fmt and t.category == "*"]
-
-
-def select_template(
-    templates: list[QuestionTemplate], fmt: QAFormat, category: str, rng_seed: int
-) -> QuestionTemplate:
-    """Uniform seeded choice among templates matching (format, category).
-
-    Category-specific templates win over wildcard ("*") ones.
-    """
-    matches = _matching_templates(templates, fmt, category)
-    if not matches:
-        raise NoTemplateError(f"no template for format={fmt.value} category={category!r}")
-    return matches[Random(rng_seed).randrange(len(matches))]
-
-
-def _render(template: QuestionTemplate, category_name: str | None, label_name: str | None) -> str:
-    text = template.text
-    if category_name is not None:
-        text = text.replace("{category}", category_name.lower())
-    if label_name is not None:
-        text = text.replace("{label}", label_name.lower())
-    if "{category}" in text or "{label}" in text:
-        raise PlaceholderError(
-            f"template {template.template_id}: unresolved placeholder in {template.text!r}"
-        )
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -417,88 +376,11 @@ def _sample_names_scan(
 
 def sample_distractors(pool: DistractorPool, k: int, seed: int) -> list[str]:
     """Draw k distinct label names, each proportional to remaining weights."""
-    return _sample_names(_pool_arrays(pool.candidates), k, Random(seed).random, frozenset())
+    return _sample_names(_pool_arrays(pool.candidates), k, _SplitMix(seed).next01, frozenset())
 
 
 # ---------------------------------------------------------------------------
-# Item builders (single-item API; the batch path in RuleGenerator inlines these)
-
-
-def _require_format(t: QuestionTemplate, fmt: QAFormat) -> None:
-    if t.format != fmt:
-        raise ValueError(f"template {t.template_id} has format {t.format.value}, need {fmt.value}")
-
-
-def generate_open_qa(
-    clip: ClipRecord,
-    leaf: OntologyNode,
-    category: OntologyNode,
-    t: QuestionTemplate,
-    seed: int,
-) -> QAItem:
-    """Open-ended item: the question names the category, the leaf answers it."""
-    _require_format(t, QAFormat.OPEN)
-    question = _render(t, category_name=category.name, label_name=None)
-    return QAItem(
-        qa_id=qa_item_id(clip.audio_id, QAFormat.OPEN, t.template_id, seed),
-        audio_id=clip.audio_id,
-        source=clip.source,
-        format=QAFormat.OPEN,
-        question=question,
-        options=(),
-        answer=leaf.name,
-        answer_index=None,
-        category=category.name.lower(),
-        method=Method.RULE,
-        template_id=t.template_id,
-        seed=seed,
-    )
-
-
-def generate_binary_qa(
-    clip: ClipRecord,
-    leaf: OntologyNode,
-    pool: DistractorPool,
-    t: QuestionTemplate,
-    seed: int,
-    *,
-    category: OntologyNode | None = None,
-    report: GenerationReport | None = None,
-) -> QAItem:
-    """Yes/no item: a fair seeded coin picks a positive or negative question.
-
-    Negative questions ask about a weight-sampled pool label the clip does
-    not carry; an empty pool falls back to a positive question.
-    """
-    _require_format(t, QAFormat.BINARY)
-    rng = Random(seed)
-    positive = rng.random() < 0.5
-    asked = leaf.name
-    if not positive:
-        try:
-            asked = _sample_names(
-                _pool_arrays(pool.candidates), 1, rng.random, frozenset((leaf.name.casefold(),))
-            )[0]
-        except InsufficientPoolError:
-            positive = True
-            if report is not None:
-                report.binary_positive_fallbacks += 1
-            log.debug("binary negative pool empty for %s; using positive item", clip.audio_id)
-    question = _render(t, category_name=None, label_name=asked)
-    return QAItem(
-        qa_id=qa_item_id(clip.audio_id, QAFormat.BINARY, t.template_id, seed),
-        audio_id=clip.audio_id,
-        source=clip.source,
-        format=QAFormat.BINARY,
-        question=question,
-        options=(),
-        answer="Yes" if positive else "No",
-        answer_index=None,
-        category=category.name.lower() if category is not None else "",
-        method=Method.RULE,
-        template_id=t.template_id,
-        seed=seed,
-    )
+# Generation
 
 
 _LETTERED = tuple(f"{chr(65 + i)}. " for i in range(26))
@@ -510,52 +392,8 @@ def _render_mcq_question(stem: str, options: list[str]) -> str:
     return " ".join(parts)
 
 
-def generate_mcq(
-    clip: ClipRecord,
-    leaf: OntologyNode,
-    category: OntologyNode,
-    pool: DistractorPool,
-    t: QuestionTemplate,
-    k_options: int,
-    seed: int,
-) -> QAItem:
-    """Multiple-choice item: the leaf plus k-1 sampled distractors, shuffled."""
-    _require_format(t, QAFormat.MCQ)
-    rng = Random(seed)
-    options = [leaf.name]
-    options.extend(
-        _sample_names(
-            _pool_arrays(pool.candidates),
-            k_options - 1,
-            rng.random,
-            frozenset((leaf.name.casefold(),)),
-        )
-    )
-    rng.shuffle(options)
-    answer_index = options.index(leaf.name)
-    stem = _render(t, category_name=category.name, label_name=None)
-    return QAItem(
-        qa_id=qa_item_id(clip.audio_id, QAFormat.MCQ, t.template_id, seed),
-        audio_id=clip.audio_id,
-        source=clip.source,
-        format=QAFormat.MCQ,
-        question=_render_mcq_question(stem, options),
-        options=tuple(options),
-        answer=leaf.name,
-        answer_index=answer_index,
-        category=category.name.lower(),
-        method=Method.RULE,
-        template_id=t.template_id,
-        seed=seed,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Batch generation
-
-
 class _LeafContext(NamedTuple):
-    """Everything the batch path needs for one leaf, precomputed."""
+    """Everything for_clip needs for one leaf, precomputed."""
 
     leaf_name: str
     leaf_lower: str
@@ -790,23 +628,6 @@ class RuleGenerator:
         if report is not None:
             report.items += len(items)
         return items
-
-
-def generate_for_clip(
-    clip: ClipRecord,
-    o: Ontology,
-    freqs: LabelFrequencyTable,
-    templates: list[QuestionTemplate],
-    plan: FormatPlan,
-    global_seed: int,
-    *,
-    music_root: str,
-    k_options: int = 4,
-    report: GenerationReport | None = None,
-) -> list[QAItem]:
-    """One-shot per-clip generation; batch callers should reuse a RuleGenerator."""
-    gen = RuleGenerator(o, freqs, templates, plan, global_seed, music_root, k_options)
-    return gen.for_clip(clip, report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -236,6 +237,21 @@ def test_shards_missing_manifest(tmp_path):
         read_shards(tmp_path / "nowhere")
 
 
+def test_shards_manifest_failure_leaves_no_temp_file(tmp_path, monkeypatch):
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == "manifest.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(IoError):
+        write_shards([mk(i) for i in range(5)], 2, tmp_path)
+    assert list(tmp_path.glob("*.tmp")) == []
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_shards_bad_size(tmp_path):
     with pytest.raises(ValueError):
         write_shards([mk(1)], 0, tmp_path)
@@ -381,6 +397,15 @@ def test_import_qa_lines():
 def test_import_ids_stable():
     raw = json.dumps({"audio_id": "x1", "question": "What mood?", "answer": "Calm"})
     assert import_external(raw, "Other")[0].qa_id == import_external(raw, "Other")[0].qa_id
+
+
+def test_import_ids_pinned():
+    # existing datasets carry these ids; a change to the id hash breaks them
+    qa_line = json.dumps({"audio_id": "clip-1", "question": "What mood does this track convey?",
+                          "answer": "Calm"})
+    caption_line = json.dumps({"audio_id": "clip-1", "caption": "Soft piano over rain."})
+    assert import_external(qa_line, "FMA")[0].qa_id == "e96c423746d9b195"
+    assert import_external(caption_line, "MusicCaps")[0].qa_id == "ca95262a3d84486b"
 
 
 @pytest.mark.parametrize("line, fragment", [

@@ -427,7 +427,6 @@ def test_aggregate_report():
     assert report.overall_mean == pytest.approx(6.0 / 10.0)
     d = report.to_dict()
     assert d["overall"]["total"] == 10
-    assert d["bertscore"] is None
     assert "relative_to_baseline" not in d
 
 

@@ -17,10 +17,10 @@ from musicqa.llmgen import (
     RateLimitError,
     TransportError,
     build_prompt,
+    content_qa_id,
     default_examples,
     default_requested,
     generate_llm_dataset,
-    llm_qa_id,
     load_examples,
     normalize_binary_answer,
     parse_llm_output,
@@ -316,11 +316,21 @@ def test_parse_fuzz_property(raw):
 
 
 def test_llm_qa_id_stable_and_distinct():
-    a = llm_qa_id("clip", QAFormat.OPEN, "What mood?")
-    assert a == llm_qa_id("clip", QAFormat.OPEN, "What mood?")
-    assert a != llm_qa_id("clip", QAFormat.BINARY, "What mood?")
-    assert a != llm_qa_id("clip2", QAFormat.OPEN, "What mood?")
+    a = content_qa_id("clip", "open", "What mood?")
+    assert a == content_qa_id("clip", "open", "What mood?")
+    assert a != content_qa_id("clip", "binary", "What mood?")
+    assert a != content_qa_id("clip2", "open", "What mood?")
+    # parts are length-prefixed, so moving a boundary changes the id
+    assert content_qa_id("ab", "c") != content_qa_id("a", "bc")
     assert len(a) == 16
+
+
+def test_llm_qa_id_pinned():
+    # responses are cached by content and datasets carry these ids
+    raw = json.dumps([{"question": "What mood does this track convey?", "format": "open",
+                       "answer": "Calm", "dimension": "mood"}])
+    batch = parse_llm_output(raw, make_clip("clip-1", set()))
+    assert [item.qa_id for item in batch.parsed] == ["071cd70456fece7c"]
 
 
 # ---------------------------------------------------------------------------

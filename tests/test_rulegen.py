@@ -13,45 +13,44 @@ from musicqa.rulegen import (
     FormatPlan,
     GenerationReport,
     InsufficientPoolError,
-    NoTemplateError,
     PlaceholderError,
     QAFormat,
-    QAItem,
     QuestionTemplate,
     RuleGenerator,
-    clip_rng_seed,
+    _item_entropy,
+    _seed_prefix,
     default_templates,
-    generate_binary_qa,
-    generate_for_clip,
-    generate_mcq,
-    generate_open_qa,
     generate_rule_dataset,
     load_templates,
     qa_item_id,
     sample_distractors,
-    select_template,
 )
 
-from conftest import make_clip, wide_corpus, wide_freqs, wide_ontology
+from conftest import FIXTURE_LEAF_IDS, make_clip, wide_corpus, wide_freqs, wide_ontology
 
 
 # ---------------------------------------------------------------------------
 # Seeds and ids
 
 
-def test_clip_rng_seed_deterministic():
-    assert clip_rng_seed(7, "clipA", 0) == clip_rng_seed(7, "clipA", 0)
+def item_seed(global_seed, audio_id, counter):
+    """The per-item seed for_clip stores on an item and seeds its stream with."""
+    return _item_entropy(_seed_prefix(global_seed, audio_id), counter)[1]
 
 
-def test_clip_rng_seed_distinguishes_inputs():
-    base = clip_rng_seed(7, "clipA", 0)
-    assert base != clip_rng_seed(7, "clipA", 1)
-    assert base != clip_rng_seed(8, "clipA", 0)
-    assert base != clip_rng_seed(7, "clipB", 0)
+def test_item_seed_deterministic():
+    assert item_seed(7, "clipA", 0) == item_seed(7, "clipA", 0)
 
 
-def test_clip_rng_seed_no_collisions_over_10k_ids():
-    seeds = {clip_rng_seed(7, f"audio-{i}", 0) for i in range(10_000)}
+def test_item_seed_distinguishes_inputs():
+    base = item_seed(7, "clipA", 0)
+    assert base != item_seed(7, "clipA", 1)
+    assert base != item_seed(8, "clipA", 0)
+    assert base != item_seed(7, "clipB", 0)
+
+
+def test_item_seed_no_collisions_over_10k_ids():
+    seeds = {item_seed(7, f"audio-{i}", 0) for i in range(10_000)}
     assert len(seeds) == 10_000
 
 
@@ -128,29 +127,41 @@ def test_default_templates_cover_all_formats():
     assert by_fmt[QAFormat.MCQ] >= 2
 
 
-def test_select_template_singleton_and_missing():
+def rule_gen(ontology, freqs, plan, seed=7, templates=None):
+    return RuleGenerator(ontology, freqs, templates or default_templates(), plan, seed, "music")
+
+
+def test_template_choice_singleton_and_missing(fixture_ontology, fixture_freqs):
     only = T("o1", QAFormat.OPEN, "What {category}?")
-    assert select_template([only], QAFormat.OPEN, "instrument", 1) is only
-    with pytest.raises(NoTemplateError):
-        select_template([only], QAFormat.BINARY, "instrument", 1)
+    report = GenerationReport()
+    items = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(3, 1, 0),
+                     templates=[only]).for_clip(make_clip("c01", {"ag"}), report=report)
+    assert [i.template_id for i in items] == ["o1"] * 3
+    assert len(report.errors) == 1 and "binary: no template" in report.errors[0]
 
 
-def test_select_template_prefers_exact_category():
+def test_template_choice_prefers_exact_category(fixture_ontology, fixture_freqs):
     wild = T("w", QAFormat.OPEN, "Wild {category}?")
-    exact = T("e", QAFormat.OPEN, "Exact {category}?", category="Instrument")
+    exact = T("e", QAFormat.OPEN, "Exact {category}?", category="Musical Instrument")
+    clip = make_clip("c01", {"ag", "rock"})
     for seed in range(50):
-        assert select_template([wild, exact], QAFormat.OPEN, "instrument", seed) is exact
-    # other categories fall back to the wildcard
-    assert select_template([wild, exact], QAFormat.OPEN, "genre", 0) is wild
+        items = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(2, 0, 0), seed,
+                         templates=[wild, exact]).for_clip(clip)
+        # other categories fall back to the wildcard
+        assert {(i.category, i.template_id) for i in items} == {
+            ("musical instrument", "e"), ("music genre", "w"),
+        }
 
 
-def test_select_template_uniform():
+def test_template_choice_uniform():
     ts = [T(f"t{i}", QAFormat.OPEN, "Q {category}" + "?" * (i + 1)) for i in range(4)]
-    counts = Counter(
-        select_template(ts, QAFormat.OPEN, "x", seed).template_id for seed in range(40_000)
-    )
+    items, _ = generate_rule_dataset(wide_corpus(6000), wide_ontology(), wide_freqs(), ts,
+                                     FormatPlan(1, 0, 0), 5, music_root="music")
+    assert len(items) >= 14_000
+    counts = Counter(i.template_id for i in items)
+    assert set(counts) == {"t0", "t1", "t2", "t3"}
     for tid in counts:
-        assert abs(counts[tid] / 40_000 - 0.25) < 0.015
+        assert abs(counts[tid] / len(items) - 0.25) < 0.015
 
 
 # ---------------------------------------------------------------------------
@@ -247,87 +258,86 @@ def test_sample_matches_bruteforce_tuple_probs():
 
 
 # ---------------------------------------------------------------------------
-# Item builders
+# Items from for_clip
 
 
-@pytest.fixture
-def nodes(fixture_ontology):
-    return fixture_ontology.nodes
+def first_seed(audio_id, positive):
+    """A global seed whose first item for audio_id flips the binary coin the given way."""
+    return next(s for s in range(1000) if (not item_seed(s, audio_id, 0) >> 63) == positive)
 
 
-def test_generate_open_qa_example(nodes):
-    clip = make_clip("c01", {"ag"})
+def test_open_item_example(fixture_ontology, fixture_freqs):
     t = T("o1", QAFormat.OPEN, "What is the {category} in this music?")
-    item = generate_open_qa(clip, nodes["ag"], nodes["instr"], t, seed=42)
+    gen = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(1, 0, 0), 42, templates=[t])
+    clip = make_clip("c01", {"ag"})
+    [item] = gen.for_clip(clip)
     assert item.question == "What is the musical instrument in this music?"
     assert item.answer == "Acoustic guitar"
     assert item.category == "musical instrument"
     assert item.format is QAFormat.OPEN
     assert item.options == () and item.answer_index is None
-    assert item == generate_open_qa(clip, nodes["ag"], nodes["instr"], t, seed=42)
+    assert item.seed == item_seed(42, "c01", 0)
+    assert item.qa_id == qa_item_id("c01", QAFormat.OPEN, "o1", item.seed)
+    assert gen.for_clip(clip) == [item]
 
 
-def test_generate_open_qa_wrong_format_rejected(nodes):
-    t = T("b1", QAFormat.BINARY, "Is {label} present?")
-    with pytest.raises(ValueError):
-        generate_open_qa(make_clip("c", {"ag"}), nodes["ag"], nodes["instr"], t, 1)
-
-
-def test_render_unresolved_placeholder(nodes):
+def test_render_unresolved_placeholder(fixture_ontology, fixture_freqs):
     t = T("o1", QAFormat.OPEN, "What is here, {label}?")
     with pytest.raises(PlaceholderError):
-        generate_open_qa(make_clip("c", {"ag"}), nodes["ag"], nodes["instr"], t, 1)
+        rule_gen(fixture_ontology, fixture_freqs, FormatPlan(1, 0, 0), templates=[t])
 
 
-def test_generate_binary_positive(nodes):
-    clip = make_clip("c01", {"ag"})
-    t = T("b1", QAFormat.BINARY, "Is {label} present in the music?")
-    # Random(1).random() < 0.5 picks the positive branch
-    item = generate_binary_qa(clip, nodes["ag"], pool_of(Violin=1), t, seed=1,
-                              category=nodes["instr"])
+BINARY_T = T("b1", QAFormat.BINARY, "Is {label} present in the music?")
+
+
+def test_generate_binary_positive(fixture_ontology, fixture_freqs):
+    # a clear top bit of the item seed picks the positive branch
+    seed = first_seed("c01", positive=True)
+    [item] = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(0, 1, 0), seed,
+                      templates=[BINARY_T]).for_clip(make_clip("c01", {"ag"}))
     assert item.question == "Is acoustic guitar present in the music?"
     assert item.answer == "Yes"
     assert item.category == "musical instrument"
 
 
-def test_generate_binary_negative_forced_choice(nodes):
-    clip = make_clip("c01", {"ag"})
-    t = T("b1", QAFormat.BINARY, "Is {label} present in the music?")
-    # Random(0).random() > 0.5 picks the negative branch; Violin is the only option
-    item = generate_binary_qa(clip, nodes["ag"], pool_of(Violin=1), t, seed=0)
-    assert item.question == "Is violin present in the music?"
-    assert item.answer == "No"
+def test_generate_binary_negative_forced_choice(fixture_ontology, fixture_freqs):
+    # a set top bit picks the negative branch; the clip carries three of the
+    # four instruments, so Drum kit is the only label left to ask about
+    seed = first_seed("c01", positive=False)
+    items = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(0, 1, 0), seed,
+                     templates=[BINARY_T]).for_clip(make_clip("c01", {"ag", "eg", "piano"}))
+    assert items[0].question == "Is drum kit present in the music?"
+    assert items[0].answer == "No"
 
 
-def test_generate_binary_empty_pool_falls_back_positive(nodes):
-    clip = make_clip("c01", {"ag"})
-    t = T("b1", QAFormat.BINARY, "Is {label} present in the music?")
+def test_generate_binary_empty_pool_falls_back_positive(fixture_ontology, fixture_freqs):
+    # the clip carries every music leaf, so no negative label is left anywhere
     report = GenerationReport()
-    # pool only contains the leaf itself, which is excluded
-    pool = DistractorPool(candidates=(("ag", "Acoustic guitar", 5),))
-    item = generate_binary_qa(clip, nodes["ag"], pool, t, seed=0, report=report)
-    assert item.answer == "Yes"
-    assert report.binary_positive_fallbacks == 1
+    items = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(0, 2, 0),
+                     templates=[BINARY_T]).for_clip(make_clip("c01", FIXTURE_LEAF_IDS), report=report)
+    assert len(items) == 2 * len(FIXTURE_LEAF_IDS)
+    assert {i.answer for i in items} == {"Yes"}
+    assert report.binary_positive_fallbacks > 0
+    assert report.binary_positive_fallbacks == sum(i.seed >> 63 for i in items)
 
 
 def test_generate_binary_balance():
-    clip = make_clip("c01", {"ag"})
-    t = T("b1", QAFormat.BINARY, "Is {label} there?")
-    from musicqa.ontology import OntologyNode
-    leaf = OntologyNode(id="ag", name="Acoustic guitar", child_ids=())
-    pool = pool_of(Violin=1, Cello=2)
-    yes = sum(
-        generate_binary_qa(clip, leaf, pool, t, seed=s).answer == "Yes"
-        for s in range(20_000)
-    )
-    assert abs(yes / 20_000 - 0.5) < 0.015
+    items, report = generate_rule_dataset(wide_corpus(6000), wide_ontology(), wide_freqs(),
+                                          default_templates(), FormatPlan(0, 1, 0), 5,
+                                          music_root="music")
+    assert len(items) >= 14_000
+    assert report.binary_positive_fallbacks == 0
+    yes = sum(i.answer == "Yes" for i in items)
+    assert abs(yes / len(items) - 0.5) < 0.015
 
 
-def test_generate_mcq_invariants(nodes):
+MCQ_T = T("m1", QAFormat.MCQ, "Select the {category} in this music:")
+
+
+def test_mcq_item_invariants(fixture_ontology, fixture_freqs):
+    gen = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(0, 0, 1), 9, templates=[MCQ_T])
     clip = make_clip("c01", {"ag"})
-    t = T("m1", QAFormat.MCQ, "Select the {category} in this music:")
-    pool = pool_of(Violin=3, Ukulele=2, Cello=1, Banjo=1)
-    item = generate_mcq(clip, nodes["ag"], nodes["instr"], pool, t, k_options=4, seed=9)
+    [item] = gen.for_clip(clip)
     assert len(item.options) == 4
     assert len(set(item.options)) == 4
     assert item.options.count("Acoustic guitar") == 1
@@ -337,37 +347,38 @@ def test_generate_mcq_invariants(nodes):
         f"{chr(65 + i)}. {opt}" for i, opt in enumerate(item.options)
     )
     assert item.question == expected
-    assert item == generate_mcq(clip, nodes["ag"], nodes["instr"], pool, t, 4, seed=9)
+    assert gen.for_clip(clip) == [item]
 
 
-def test_generate_mcq_insufficient_pool(nodes):
-    clip = make_clip("c01", {"ag"})
-    t = T("m1", QAFormat.MCQ, "Select the {category}:")
-    with pytest.raises(InsufficientPoolError):
-        generate_mcq(clip, nodes["ag"], nodes["instr"], pool_of(Violin=1), t, 4, seed=9)
+def test_mcq_insufficient_pool_reported(fixture_ontology, fixture_freqs):
+    # six of the eight music leaves on the clip leave two distractors, even
+    # after widening to the whole music pool
+    clip = make_clip("c01", {"ag", "eg", "piano", "drums", "rock", "jazz"})
+    report = GenerationReport()
+    items = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(0, 0, 1),
+                     templates=[MCQ_T]).for_clip(clip, report=report)
+    assert items == []
+    assert len(report.errors) == 6
+    assert all(" mcq: " in e and "need 3" in e for e in report.errors)
 
 
-def test_mcq_answer_letter_uniform(nodes):
-    clip = make_clip("c01", {"ag"})
-    t = T("m1", QAFormat.MCQ, "Select the {category}:")
-    pool = pool_of(Violin=3, Ukulele=2, Cello=1, Banjo=1, Oud=2)
-    counts = Counter(
-        generate_mcq(clip, nodes["ag"], nodes["instr"], pool, t, 4, seed).answer_index
-        for seed in range(8_000)
-    )
+def test_mcq_answer_letter_uniform():
+    items, _ = generate_rule_dataset(wide_corpus(3500), wide_ontology(), wide_freqs(),
+                                     default_templates(), FormatPlan(0, 0, 1), 5,
+                                     music_root="music")
+    assert len(items) >= 8_000
+    counts = Counter(i.answer_index for i in items)
     for idx in range(4):
-        assert abs(counts[idx] / 8_000 - 0.25) < 0.03
+        assert abs(counts[idx] / len(items) - 0.25) < 0.03
 
 
 # ---------------------------------------------------------------------------
 # Per-clip orchestration
 
 
-def test_generate_for_clip_counts(fixture_ontology, fixture_freqs):
-    clip = make_clip("c01", {"ag"})
-    items = generate_for_clip(
-        clip, fixture_ontology, fixture_freqs, default_templates(),
-        FormatPlan(open=1, binary=1, mcq=1), 7, music_root="music",
+def test_for_clip_counts(fixture_ontology, fixture_freqs):
+    items = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(open=1, binary=1, mcq=1)).for_clip(
+        make_clip("c01", {"ag"})
     )
     assert len(items) == 3
     assert [i.format for i in items] == [QAFormat.OPEN, QAFormat.BINARY, QAFormat.MCQ]
@@ -377,20 +388,14 @@ def test_generate_for_clip_counts(fixture_ontology, fixture_freqs):
     assert all(i.audio_id == "c01" for i in items)
 
 
-def test_generate_for_clip_no_music_leaves(fixture_ontology, fixture_freqs):
-    clip = make_clip("c04", {"sp1"})
-    items = generate_for_clip(
-        clip, fixture_ontology, fixture_freqs, default_templates(),
-        FormatPlan(1, 1, 1), 7, music_root="music",
-    )
-    assert items == []
+def test_for_clip_no_music_leaves(fixture_ontology, fixture_freqs):
+    gen = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(1, 1, 1))
+    assert gen.for_clip(make_clip("c04", {"sp1"})) == []
 
 
-def test_generate_for_clip_multi_leaf_plan(fixture_ontology, fixture_freqs):
-    clip = make_clip("c05", {"ag", "rock"})
-    items = generate_for_clip(
-        clip, fixture_ontology, fixture_freqs, default_templates(),
-        FormatPlan(open=2, binary=0, mcq=1), 7, music_root="music",
+def test_for_clip_multi_leaf_plan(fixture_ontology, fixture_freqs):
+    items = rule_gen(fixture_ontology, fixture_freqs, FormatPlan(open=2, binary=0, mcq=1)).for_clip(
+        make_clip("c05", {"ag", "rock"})
     )
     assert len(items) == 6  # 2 leaves x (2 open + 1 mcq)
     cats = {i.category for i in items}
@@ -532,11 +537,10 @@ def test_property_all_items_valid(seed, labels, n_open, n_binary, n_mcq):
     )
     clip = make_clip("clip-x", set(labels))
     report = GenerationReport()
-    items = generate_for_clip(
-        clip, o, freqs, default_templates(),
-        FormatPlan(open=n_open, binary=n_binary, mcq=n_mcq),
-        seed, music_root="music", report=report,
-    )
+    items = RuleGenerator(
+        o, freqs, default_templates(), FormatPlan(open=n_open, binary=n_binary, mcq=n_mcq),
+        seed, "music",
+    ).for_clip(clip, report=report)
     expected_max = len(labels) * (n_open + n_binary + n_mcq)
     assert len(items) + len(report.errors) <= expected_max
     seen_ids = set()
