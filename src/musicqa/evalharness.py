@@ -17,12 +17,13 @@ import math
 import re
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .errors import MusicQaError
 from .rulegen import QAFormat, QAItem
+
+if TYPE_CHECKING:
+    import requests
 
 __all__ = [
     "ModelOutput",
@@ -334,10 +335,13 @@ class HttpEmbedder:
     """Client for a POST {"texts": [...]} -> {"embeddings": [[...]]} service.
 
     Embeddings are cached per instance, so repeated label lookups within a
-    run hit the network once.
+    run hit the network once.  A vector with a NaN or infinite component is
+    rejected: it would make every similarity NaN.
     """
 
     def __init__(self, config: EmbedderConfig, session: Optional[requests.Session] = None):
+        import requests
+
         self.config = config
         self._session = session or requests.Session()
         self._cache: dict[str, EmbeddingVector] = {}
@@ -352,6 +356,8 @@ class HttpEmbedder:
         return headers
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
+        import requests
+
         misses = []
         for text in texts:
             if text not in self._cache and text not in misses:
@@ -379,6 +385,8 @@ class HttpEmbedder:
                     f"embedding count mismatch: sent {len(batch)}, got {len(parsed)}"
                 )
             for text, vector in zip(batch, parsed):
+                if not all(map(math.isfinite, vector.values)):
+                    raise EmbedderError(f"non-finite embedding value for {text!r}")
                 self._cache[text] = vector
         return [self._cache[text] for text in texts]
 
@@ -415,15 +423,58 @@ class TrigramEmbedder:
         return out
 
 
+def _norm(vector: EmbeddingVector) -> float:
+    return math.sqrt(sum(x * x for x in vector.values))
+
+
 def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dim != b.dim:
         raise DimMismatchError(f"embedding dims differ: {a.dim} vs {b.dim}")
     dot = sum(x * y for x, y in zip(a.values, b.values))
-    norm_a = math.sqrt(sum(x * x for x in a.values))
-    norm_b = math.sqrt(sum(y * y for y in b.values))
+    norm_a = _norm(a)
+    norm_b = _norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
     return dot / (norm_a * norm_b)
+
+
+def _match_labels(
+    texts: Sequence[str], candidate_labels: Sequence[str], embedder: Embedder
+) -> dict[str, str]:
+    """Closest candidate label to each text, by cosine similarity.
+
+    One embed call covers the distinct labels and texts, and each distinct
+    text is matched once.  The dot product sums only the query's nonzero
+    entries, in index order: the skipped terms are exact zeros for finite
+    vectors, so every partial sum, and so every similarity, equals
+    cosine_similarity's bit for bit.
+    """
+    if len(candidate_labels) < 2:
+        raise ValueError("need at least 2 candidate labels")
+    distinct = list(dict.fromkeys([*candidate_labels, *texts]))
+    vector_of = dict(zip(distinct, embedder.embed(distinct)))
+    labels = [
+        (label, vector_of[label].values, _norm(vector_of[label])) for label in candidate_labels
+    ]
+    chosen: dict[str, str] = {}
+    for text in dict.fromkeys(texts):
+        query = vector_of[text]
+        nonzero = [(k, x) for k, x in enumerate(query.values) if x != 0.0]
+        query_norm = _norm(query)
+        best_label = candidate_labels[0]
+        best_sim = -math.inf
+        for label, values, norm in labels:
+            if len(values) != query.dim:
+                raise DimMismatchError(f"embedding dims differ: {query.dim} vs {len(values)}")
+            if query_norm == 0.0 or norm == 0.0:
+                sim = 0.0
+            else:
+                sim = sum(x * values[k] for k, x in nonzero) / (query_norm * norm)
+            if sim > best_sim:
+                best_label = label
+                best_sim = sim
+        chosen[text] = best_label
+    return chosen
 
 
 def match_label_by_similarity(
@@ -434,18 +485,7 @@ def match_label_by_similarity(
     Ties keep the earliest candidate.  Invariant to any positive rescaling
     of the embeddings.
     """
-    if len(candidate_labels) < 2:
-        raise ValueError("need at least 2 candidate labels")
-    vectors = embedder.embed([output_text, *candidate_labels])
-    query, label_vectors = vectors[0], vectors[1:]
-    best_label = candidate_labels[0]
-    best_sim = -math.inf
-    for label, vector in zip(candidate_labels, label_vectors):
-        sim = cosine_similarity(query, vector)
-        if sim > best_sim:
-            best_label = label
-            best_sim = sim
-    return best_label
+    return _match_labels([output_text], candidate_labels, embedder)[output_text]
 
 
 def score_label_match(
@@ -456,11 +496,14 @@ def score_label_match(
 ) -> TaskScores:
     """Open-ended answers scored as classification over a label vocabulary.
 
-    The vocabulary defaults to the distinct gold answers of the items.
+    The vocabulary defaults to the distinct gold answers of the items.  It
+    and the output texts are embedded together, once per distinct text.
     """
     by_id = _outputs_by_id(items, outputs)
     if candidate_labels is None:
         candidate_labels = sorted({item.answer for item in items})
+    texts = [by_id[item.qa_id].text for item in items if item.qa_id in by_id]
+    chosen = _match_labels(texts, candidate_labels, embedder) if texts else {}
     scores = TaskScores(task="label_match")
     for item in items:
         category = item.category or "(uncategorized)"
@@ -469,8 +512,7 @@ def score_label_match(
             scores.missing += 1
             scores.add(0.0, category)
             continue
-        chosen = match_label_by_similarity(output.text, candidate_labels, embedder)
-        scores.add(1.0 if chosen == item.answer else 0.0, category)
+        scores.add(1.0 if chosen[output.text] == item.answer else 0.0, category)
     return scores
 
 
@@ -505,60 +547,81 @@ def _min_chunks_exact(cand: list[str], ref: list[str], quota: dict[str, int], bu
 
     Backtracks over which occurrences align, memoized on (candidate
     position, used reference positions, chunk-continuation state); raises
-    _Budget when the search space exceeds the node budget.
+    _Budget when the search visits more than ``budget`` nodes, memo hits
+    and finished branches included.  The remaining quota of each word is a
+    function of the used positions, so it is kept in a list that is undone
+    on backtrack instead of being part of the memo key.
     """
     ref_positions: dict[str, list[int]] = {}
     for j, word in enumerate(ref):
         ref_positions.setdefault(word, []).append(j)
-    # remaining candidate occurrences of each word from position i onward
-    suffix_counts: list[dict[str, int]] = [dict() for _ in range(len(cand) + 1)]
-    for i in range(len(cand) - 1, -1, -1):
-        counts = dict(suffix_counts[i + 1])
-        counts[cand[i]] = counts.get(cand[i], 0) + 1
-        suffix_counts[i] = counts
+    n = len(cand)
+    # A node's memo key is one int: the used reference positions in the high
+    # bits, then cont_ref + 1, then the candidate position i.  cont_ref is
+    # the reference index that would continue the current chunk, or -1 when
+    # the previous candidate position was not aligned.  ``low`` is the key's
+    # (cont_ref + 1, i) part, and ``used`` is kept already shifted.
+    i_bits = n.bit_length()
+    shift = (len(ref) + 1).bit_length() + i_bits
+    # per candidate position: the word's slot in ``need`` (words outside the
+    # quota share a last slot that stays 0), how many later candidate
+    # positions hold the same word, and for each reference position j of the
+    # word: its bit in ``used``, the ``low`` that continues a chunk into j,
+    # and the next position's ``low`` after aligning to j
+    slot_of = {word: s for s, word in enumerate(quota)}
+    need = [*quota.values(), 0]
+    slots = [slot_of.get(word, len(quota)) for word in cand]
+    later = [cand[i + 1 :].count(word) for i, word in enumerate(cand)]
+    choices = [
+        tuple(
+            (1 << (shift + j), (j + 1) << i_bits | i, (j + 2) << i_bits | (i + 1))
+            for j in ref_positions.get(word, ())
+        )
+        for i, word in enumerate(cand)
+    ]
+    memo: dict[int, float] = {}
+    nodes_left = budget
+    total = sum(need)
+    inf = math.inf
 
-    memo: dict[tuple, int] = {}
-    nodes = 0
-
-    def solve(i: int, used: int, rem: tuple[tuple[str, int], ...], cont_ref: int) -> int:
-        # cont_ref: reference index that would continue the current chunk,
-        # or -1 when the previous candidate position was not aligned
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
+    def solve(i: int, used: int, low: int) -> float:
+        nonlocal nodes_left, total
+        nodes_left -= 1
+        if nodes_left < 0:
             raise _Budget
-        rem_map = dict(rem)
-        if not any(rem_map.values()):
+        if not total:
             return 0
-        if i >= len(cand):
-            return math.inf  # quota unmet; pruned by skip guard, defensive
-        key = (i, used, rem, cont_ref)
+        if i >= n:
+            return inf  # quota unmet; pruned by skip guard, defensive
+        key = used | low
         hit = memo.get(key)
         if hit is not None:
             return hit
-        word = cand[i]
-        best = math.inf
-        need = rem_map.get(word, 0)
+        slot = slots[i]
+        word_need = need[slot]
+        best = inf
+        nxt = i + 1
         # skip this occurrence only if later occurrences can still fill the quota
-        if need == 0 or suffix_counts[i + 1].get(word, 0) >= need:
-            best = solve(i + 1, used, rem, -1)
-        if need > 0:
-            new_rem = tuple(
-                (w, c - 1 if w == word else c) for w, c in rem if not (w == word and c == 1)
-            )
-            for j in ref_positions.get(word, ()):
-                if used & (1 << j):
+        if not word_need or later[i] >= word_need:
+            best = solve(nxt, used, nxt)
+        if word_need:
+            need[slot] = word_need - 1
+            total -= 1
+            for bit, here, after in choices[i]:
+                if used & bit:
                     continue
-                cost = 0 if j == cont_ref else 1
-                sub = solve(i + 1, used | (1 << j), new_rem, j + 1)
-                if cost + sub < best:
-                    best = cost + sub
+                sub = solve(nxt, used | bit, after)
+                if here != low:
+                    sub += 1
+                if sub < best:
+                    best = sub
+            need[slot] = word_need
+            total += 1
         memo[key] = best
         return best
 
-    rem0 = tuple(sorted((w, c) for w, c in quota.items() if c > 0))
-    result = solve(0, 0, rem0, -1)
-    if result is math.inf:
+    result = solve(0, 0, 0)
+    if result is inf:
         raise _Budget
     return int(result)
 

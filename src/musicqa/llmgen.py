@@ -21,18 +21,19 @@ import os
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .corpus import ClipRecord, atomic_writer
 from .errors import MusicQaError, ParseError
 from .rulegen import Method, QAFormat, QAItem
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -261,6 +262,8 @@ class LlmClient:
         session: Optional[requests.Session] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        import requests
+
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
@@ -329,6 +332,8 @@ class LlmClient:
         return headers
 
     def _post_with_retries(self, messages: list[dict]) -> str:
+        import requests
+
         cfg = self.config
         url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
         payload = {"model": cfg.model, "messages": messages, "temperature": cfg.temperature}
@@ -641,9 +646,10 @@ def generate_llm_dataset(
             report.skipped_no_context += 1
     items: list[QAItem] = []
     with ThreadPoolExecutor(max_workers=max(1, client.config.concurrency)) as pool:
-        futures = {pool.submit(client.call, spec): clip for clip, spec in prompts}
-        for future in as_completed(futures):
-            clip = futures[future]
+        futures = [(clip, pool.submit(client.call, spec)) for clip, spec in prompts]
+        # results are read in prompt order, so the kept rejection samples
+        # do not depend on which thread finishes first
+        for clip, future in futures:
             try:
                 raw = future.result()
             except AuthError:

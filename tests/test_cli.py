@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,17 @@ def test_usage_errors(capsys):
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # requests is imported only by the commands that talk to an endpoint
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys, musicqa.cli; print('requests' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"
 
 
 def test_help_exits_zero(capsys):

@@ -1,15 +1,21 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from musicqa import evalharness
 from musicqa.errors import ParseError
 from musicqa.evalharness import (
     DimMismatchError,
+    EmbedderConfig,
+    EmbedderError,
     EmbeddingVector,
     EvalReport,
+    HttpEmbedder,
+    MeteorBreakdown,
     ModelOutput,
     OverlapError,
     TaskScores,
@@ -29,6 +35,8 @@ from musicqa.evalharness import (
     score_mcq,
 )
 from musicqa.rulegen import Method, QAFormat, QAItem
+
+from conftest import MockEndpoint
 
 
 def item(qa_id, fmt=QAFormat.MCQ, question="Pick one: A. Guitar B. Violin C. Ukulele D. Cello",
@@ -293,6 +301,131 @@ def test_score_label_match():
     assert default_scores.total == 2
 
 
+class ConstantEmbedder:
+    """Every text embeds to the same vector, so every similarity ties."""
+
+    def embed(self, texts):
+        return [EmbeddingVector((1.0, 0.0)) for _ in texts]
+
+
+class CountingEmbedder:
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self.texts = Counter()
+
+    def embed(self, texts):
+        self.calls += 1
+        self.texts.update(texts)
+        return self.inner.embed(texts)
+
+
+LABELS = ["acoustic guitar", "electric guitar", "grand piano", "drum kit", "Jazz"]
+
+
+def label_items():
+    answers = ["acoustic guitar", "grand piano", "Jazz", "drum kit", "electric guitar",
+               "grand piano", "acoustic guitar", "Jazz"]
+    return [
+        item(f"q{n}", fmt=QAFormat.OPEN, question="What is playing?", answer=answer,
+             category="instrument" if n % 2 else "genre")
+        for n, answer in enumerate(answers)
+    ]
+
+
+# q2 and q6 are missing; "guitar" and "some jazz" are each given twice
+LABEL_OUTPUTS = [
+    ModelOutput("q0", "guitar"),
+    ModelOutput("q1", "a grand piano"),
+    ModelOutput("q3", "drums"),
+    ModelOutput("q4", "guitar"),
+    ModelOutput("q5", "some jazz"),
+    ModelOutput("q7", "some jazz"),
+]
+
+
+@pytest.mark.parametrize("embedder", [TrigramEmbedder(), ConstantEmbedder()],
+                         ids=["trigram", "constant-tie"])
+def test_score_label_match_agrees_with_bruteforce_argmax(embedder):
+    items = label_items()
+    by_id = {output.qa_id: output for output in LABEL_OUTPUTS}
+    expected = TaskScores(task="label_match")
+    for it in items:
+        output = by_id.get(it.qa_id)
+        if output is None:
+            expected.missing += 1
+            expected.add(0.0, it.category)
+            continue
+        query, *vectors = embedder.embed([output.text, *LABELS])
+        sims = [cosine_similarity(query, v) for v in vectors]
+        best = LABELS[max(range(len(LABELS)), key=lambda i: (sims[i], -i))]
+        expected.add(1.0 if best == it.answer else 0.0, it.category)
+    scores = score_label_match(items, LABEL_OUTPUTS, embedder, candidate_labels=LABELS)
+    assert scores == expected
+    assert scores.missing == 2
+    if isinstance(embedder, ConstantEmbedder):
+        # every similarity ties, so the earliest label is chosen for every output
+        assert scores.score_sum == 1.0  # only q0's gold is LABELS[0]
+
+
+def test_score_label_match_embeds_each_distinct_text_once():
+    embedder = CountingEmbedder(TrigramEmbedder())
+    score_label_match(label_items(), LABEL_OUTPUTS, embedder, candidate_labels=LABELS)
+    assert embedder.calls == 1
+    assert set(embedder.texts) == set(LABELS) | {o.text for o in LABEL_OUTPUTS}
+    assert set(embedder.texts.values()) == {1}
+
+
+def test_score_label_match_all_missing_skips_embedder():
+    class Refusing:
+        def embed(self, texts):
+            raise AssertionError("embedder called")
+
+    items = label_items()
+    # fewer than 2 labels is an error only once some output needs a label
+    scores = score_label_match(items, [], Refusing(), candidate_labels=["only"])
+    assert scores.total == scores.missing == len(items)
+    assert scores.score_sum == 0.0
+    with pytest.raises(ValueError):
+        score_label_match(items, LABEL_OUTPUTS[:1], TrigramEmbedder(), candidate_labels=["only"])
+
+
+def test_score_label_match_dim_mismatch():
+    class Ragged:
+        def embed(self, texts):
+            return [EmbeddingVector((1.0,) * (3 if t in LABELS else 2)) for t in texts]
+
+    with pytest.raises(DimMismatchError):
+        score_label_match(label_items(), LABEL_OUTPUTS, Ragged(), candidate_labels=LABELS)
+
+
+def test_http_embedder_batches_distinct_texts_and_caches(mock_endpoint):
+    vectors = {"Jazz": [1.0, 0.0], "Rock music": [0.0, 1.0], "cool jazz": [0.9, 0.1]}
+    mock_endpoint.script((200, {"embeddings": list(vectors.values())}))
+    embedder = HttpEmbedder(EmbedderConfig(url=mock_endpoint.url))
+    items = [
+        item("q1", fmt=QAFormat.OPEN, question="What genre?", answer="Jazz", category="genre"),
+        item("q2", fmt=QAFormat.OPEN, question="What genre?", answer="Rock music",
+             category="genre"),
+    ]
+    outputs = [ModelOutput("q1", "cool jazz"), ModelOutput("q2", "cool jazz")]
+    scores = score_label_match(items, outputs, embedder, candidate_labels=["Jazz", "Rock music"])
+    assert scores.total == 2 and scores.score_sum == 1.0
+    assert [r["payload"]["texts"] for r in mock_endpoint.requests] == [list(vectors)]
+    # a second run is served from the instance cache
+    assert score_label_match(items, outputs, embedder,
+                             candidate_labels=["Jazz", "Rock music"]) == scores
+    assert len(mock_endpoint.requests) == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_http_embedder_rejects_non_finite_values(mock_endpoint, bad):
+    mock_endpoint.script((200, {"embeddings": [[0.5, 0.5], [0.5, bad]]}))
+    embedder = HttpEmbedder(EmbedderConfig(url=mock_endpoint.url))
+    with pytest.raises(EmbedderError, match="non-finite"):
+        embedder.embed(["fine", "broken"])
+
+
 # ---------------------------------------------------------------------------
 # METEOR
 
@@ -346,6 +479,79 @@ def test_meteor_scrambled_chunks():
     assert meteor_exact("a b c d", "a b c d").chunks == 1
     assert meteor_exact("c d a b", "a b c d").chunks == 2
     assert meteor_exact("d c b a", "a b c d").chunks == 4
+
+
+# Caption pairs with repeated function words.  The first (30 and 29 tokens)
+# is solved by the exact search, with fewer chunks than the greedy aligner
+# finds; the second (63 and 58 tokens) exhausts the node budget and falls
+# back to the greedy aligner.
+SOLVED_EXACTLY = (
+    "a soft piano plays the theme and the warm bass joins in as the drums play a slow "
+    "beat under the sad voice of the singer in a small room",
+    "the drums play a slow beat and a soft piano plays the theme as the warm bass joins "
+    "in under the voice of a sad singer in the room",
+)
+FALLS_BACK = (
+    "this is a live recording of a rock band with a loud electric guitar and a heavy bass "
+    "and the drums play a fast beat while the singer shouts over the noise of the crowd and "
+    "the guitar takes a long solo at the end of the song and the crowd cheers for the band "
+    "as the lights go down on the stage",
+    "a rock band plays a live song with the loud guitar and the heavy bass while a drummer "
+    "plays the fast beat and a singer shouts the words over a crowd and then the electric "
+    "guitar plays a solo at the end of this recording as the crowd cheers on the band and "
+    "the stage lights go down",
+)
+
+
+def chunk_problem(candidate, reference):
+    cand = evalharness._tokenize(candidate)
+    ref = evalharness._tokenize(reference)
+    quota = {w: min(cand.count(w), ref.count(w)) for w in dict.fromkeys(cand) if w in ref}
+    return cand, ref, quota
+
+
+def test_meteor_pinned_breakdowns():
+    assert meteor_exact(*SOLVED_EXACTLY) == MeteorBreakdown(
+        m=29, precision=0.9666666666666667, recall=1.0, fmean=0.9965635738831615,
+        chunks=12, penalty=0.035425806716142524, score=0.9612595053344285,
+    )
+    assert evalharness._min_chunks_greedy(*chunk_problem(*SOLVED_EXACTLY)) == 16
+    assert meteor_exact(*FALLS_BACK) == MeteorBreakdown(
+        m=52, precision=0.8253968253968254, recall=0.896551724137931,
+        fmean=0.8888888888888888, chunks=38, penalty=0.19512403277196172,
+        score=0.7154453042027007,
+    )
+    with pytest.raises(evalharness._Budget):
+        evalharness._min_chunks_exact(
+            *chunk_problem(*FALLS_BACK), evalharness._CHUNK_SEARCH_BUDGET
+        )
+
+
+@pytest.mark.parametrize("pair, nodes", [(("a b", "a x a b"), 5), (SOLVED_EXACTLY, 1514)])
+def test_meteor_budget_counts_every_node(pair, nodes):
+    # the budget counts every visited node, memo hits and finished branches
+    # included; a search that needs `nodes` nodes fails with one fewer
+    cand, ref, quota = chunk_problem(*pair)
+    assert evalharness._min_chunks_exact(cand, ref, quota, nodes) == meteor_exact(*pair).chunks
+    with pytest.raises(evalharness._Budget):
+        evalharness._min_chunks_exact(cand, ref, quota, nodes - 1)
+
+
+@pytest.mark.parametrize("pair", [("a b", "a x a b"), SOLVED_EXACTLY, FALLS_BACK])
+def test_meteor_small_budget_falls_back_to_greedy(monkeypatch, pair):
+    monkeypatch.setattr(evalharness, "_CHUNK_SEARCH_BUDGET", 4)
+    assert meteor_exact(*pair).chunks == evalharness._min_chunks_greedy(*chunk_problem(*pair))
+
+
+def test_meteor_long_caption_late_match():
+    # 700 unmatched words, then one match: the search recurses once per
+    # candidate position, so this stays under Python's default recursion
+    # limit of 1000; values computed with the previous search
+    candidate = " ".join([f"filler{k}" for k in range(700)] + ["guitar"])
+    assert meteor_exact(candidate, "a bright guitar riff") == MeteorBreakdown(
+        m=1, precision=0.0014265335235378032, recall=0.25, fmean=0.013568521031207599,
+        chunks=1, penalty=0.5, score=0.0067842605156037995,
+    )
 
 
 def oracle_min_chunks(cand, ref):

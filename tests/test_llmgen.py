@@ -1,5 +1,7 @@
 import json
+import re
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -452,3 +454,27 @@ def test_generate_llm_dataset_counts_rejections(mock_endpoint):
     assert items == []
     assert report.rejected == 1
     assert report.rejected_samples and "c1" in report.rejected_samples[0]
+
+
+def test_generate_llm_dataset_rejected_samples_in_prompt_order(mock_endpoint):
+    content = '[{"question": "Bad entry", "format": "open", "answer": "x", "dimension": "mood"}]'
+    mock_endpoint.script((200, MockEndpoint.chat_body(content)))
+    clips = [make_clip(f"c{n:02d}", {"x"}, caption=f"Clip number {n}.") for n in range(60)]
+
+    class LateFirst(LlmClient):
+        # earlier prompts answer later, so threads finish out of prompt order
+        def call(self, spec):
+            n = int(re.search(r"Clip number (\d+)", spec.clip_context).group(1))
+            time.sleep(0.001 * (60 - n))
+            return super().call(spec)
+
+    reports = []
+    for _ in range(2):
+        cfg = LlmEndpointConfig(base_url=mock_endpoint.url, model="test-model", concurrency=4)
+        client = LateFirst(cfg, sleep=lambda s: None)
+        items, report = generate_llm_dataset(clips, client, [], default_requested())
+        reports.append(report.to_dict())
+    assert reports[0] == reports[1]
+    assert reports[0]["rejected"] == 60
+    samples = reports[0]["rejected_samples"]
+    assert [s.split(":")[0] for s in samples] == [f"c{n:02d}" for n in range(50)]
