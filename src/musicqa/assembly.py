@@ -19,6 +19,8 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import blake2b, sha256
+from itertools import islice
+from json.encoder import encode_basestring  # C-backed, as used by json.dumps(ensure_ascii=False)
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -72,7 +74,54 @@ def item_to_dict(item: QAItem) -> dict:
 
 
 def item_to_json(item: QAItem) -> str:
-    return json.dumps(item_to_dict(item), ensure_ascii=False, separators=(",", ":"))
+    """One JSONL line, the same text as ``json.dumps(item_to_dict(item),
+    ensure_ascii=False, separators=(",", ":"))``.
+
+    Built from the fixed field layout, so no dict or encoder is made per
+    item, and enum values are read from ``_value_``, not through the
+    slower ``value`` property.  ``answer_index`` and ``seed`` must be ints,
+    not bools: item_from_dict rejects a bool for either.
+    """
+    s = encode_basestring
+    answer_index = item.answer_index
+    template_id = item.template_id
+    return (
+        f'{{"qa_id":{s(item.qa_id)},"audio_id":{s(item.audio_id)},'
+        f'"source":{s(item.source._value_)},"format":{s(item.format._value_)},'
+        f'"question":{s(item.question)},"options":[{",".join(map(s, item.options))}],'
+        f'"answer":{s(item.answer)},'
+        f'"answer_index":{"null" if answer_index is None else int.__repr__(answer_index)},'
+        f'"category":{s(item.category)},"method":{s(item.method._value_)},'
+        f'"template_id":{"null" if template_id is None else s(template_id)},'
+        f'"seed":{int.__repr__(item.seed)}}}'
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _answer_index(obj: dict, line_no: Optional[int]) -> Optional[int]:
+    answer_index = obj.get("answer_index")
+    if answer_index is not None and not _is_int(answer_index):
+        raise ParseError("answer_index must be an integer or null", line_no=line_no)
+    return answer_index
+
+
+# value -> member, a dict lookup in place of the slower Enum constructor call
+_SOURCE_OF = {member.value: member for member in Source}
+_FORMAT_OF = {member.value: member for member in QAFormat}
+_METHOD_OF = {member.value: member for member in Method}
+
+
+def _member(by_value: dict, raw, parse):
+    """The member whose value is ``raw``, else ``parse(raw)``, which raises for a bad one."""
+    member = by_value.get(raw) if isinstance(raw, str) else None
+    return parse(raw) if member is None else member
+
+
+def _parse_source(raw) -> Source:
+    return parse_source(str(raw))
 
 
 def item_from_dict(obj: dict, line_no: Optional[int] = None) -> QAItem:
@@ -80,52 +129,107 @@ def item_from_dict(obj: dict, line_no: Optional[int] = None) -> QAItem:
         options = obj.get("options") or []
         if not isinstance(options, list):
             raise ParseError("options must be a list", line_no=line_no)
-        answer_index = obj.get("answer_index")
-        if answer_index is not None and not isinstance(answer_index, int):
-            raise ParseError("answer_index must be an integer or null", line_no=line_no)
-        return QAItem(
+        answer_index = _answer_index(obj, line_no)
+        item = QAItem(
             qa_id=str(obj["qa_id"]),
             audio_id=str(obj["audio_id"]),
-            source=parse_source(str(obj["source"])),
-            format=QAFormat(obj["format"]),
+            source=_member(_SOURCE_OF, obj["source"], _parse_source),
+            format=_member(_FORMAT_OF, obj["format"], QAFormat),
             question=str(obj["question"]),
-            options=tuple(str(o) for o in options),
+            options=tuple(map(str, options)),
             answer=str(obj["answer"]),
             answer_index=answer_index,
             category=str(obj.get("category", "")),
-            method=Method(obj["method"]),
+            method=_member(_METHOD_OF, obj["method"], Method),
             template_id=(None if obj.get("template_id") is None else str(obj["template_id"])),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
         )
     except KeyError as exc:
         raise ParseError(f"missing field {exc.args[0]!r}", line_no=line_no) from None
     except ValueError as exc:
         raise ParseError(str(exc), line_no=line_no) from None
+    if not _is_int(item.seed):
+        raise ParseError("seed must be an integer", line_no=line_no)
+    return item
+
+
+_WRITE_BLOCK = 128  # lines encoded, hashed and written at a time
+
+
+def _write_jsonl(items: Iterable[QAItem], path: str | Path, hasher=None) -> None:
+    """Write items as UTF-8 JSONL; every byte written also goes to ``hasher``, a hashlib object."""
+    rest = iter(items)
+    with atomic_writer(path, binary=True) as fh:
+        while block := list(islice(rest, _WRITE_BLOCK)):
+            data = "".join([f"{item_to_json(item)}\n" for item in block]).encode("utf-8")
+            if hasher is not None:
+                hasher.update(data)
+            fh.write(data)
 
 
 def write_items_jsonl(items: Iterable[QAItem], path: str | Path) -> None:
     """Atomic whole-file write: readers never observe a partial file."""
-    with atomic_writer(path) as fh:
-        for item in items:
-            fh.write(item_to_json(item))
-            fh.write("\n")
+    _write_jsonl(items, path)
+
+
+_scan_once = json.JSONDecoder().scan_once  # the C scanner inside json.loads
+
+
+def _loads(line: str):
+    """``json.loads(line)`` for a stripped line, without its per-call wrapper.
+
+    What the scanner rejects, or a value that ends before the line does,
+    goes through json.loads itself, so every error is the one it raises.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    return json.loads(line)
+
+
+def _read_jsonl(path: Path, digest: Optional[str] = None) -> list[QAItem]:
+    """Parse a JSONL file of items, one line at a time, split on "\\n" only.
+
+    With ``digest`` ("sha256:<hex>") the same pass hashes every byte, and a
+    mismatch raises DigestMismatchError ahead of any parse error, since a
+    corrupted line is more likely than a bad line under a good digest.
+    """
+    h = sha256() if digest is not None else None
+    items = []
+    failed: Optional[Exception] = None  # ParseError or UnicodeDecodeError
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if h is not None:
+                h.update(raw)
+            if failed is not None:
+                continue
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                try:
+                    obj = _loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from exc
+                if not isinstance(obj, dict):
+                    raise ParseError("expected a JSON object", line_no=line_no)
+                items.append(item_from_dict(obj, line_no=line_no))
+            except (ParseError, UnicodeDecodeError) as exc:
+                if h is None:
+                    raise
+                failed = exc
+    if h is not None and f"sha256:{h.hexdigest()}" != digest:
+        raise DigestMismatchError(f"digest mismatch for {path}")
+    if failed is not None:
+        raise failed
+    return items
 
 
 def read_items_jsonl(path: str | Path) -> list[QAItem]:
-    items = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", line_no=line_no)
-            items.append(item_from_dict(obj, line_no=line_no))
-    return items
+    return _read_jsonl(Path(path))
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +308,6 @@ def split_by_audio(
 _MANIFEST_NAME = "manifest.json"
 
 
-def _file_digest(path: Path) -> str:
-    h = sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return f"sha256:{h.hexdigest()}"
-
-
 def write_shards(items: Sequence[QAItem], shard_size: int, out_dir: str | Path) -> dict:
     """Write qa_id-ordered JSONL shards plus a digest manifest.
 
@@ -227,9 +323,9 @@ def write_shards(items: Sequence[QAItem], shard_size: int, out_dir: str | Path) 
         for start in range(0, len(ordered), shard_size):
             chunk = ordered[start : start + shard_size]
             name = f"shard-{start // shard_size:05d}.jsonl"
-            path = out / name
-            write_items_jsonl(chunk, path)
-            shards.append({"path": name, "items": len(chunk), "digest": _file_digest(path)})
+            h = sha256()
+            _write_jsonl(chunk, out / name, h)
+            shards.append({"path": name, "items": len(chunk), "digest": f"sha256:{h.hexdigest()}"})
         manifest = {"total_items": len(ordered), "shard_size": shard_size, "shards": shards}
         with atomic_writer(out / _MANIFEST_NAME) as fh:
             json.dump(manifest, fh, indent=2)
@@ -251,10 +347,7 @@ def read_shards(out_dir: str | Path, verify: bool = True) -> list[QAItem]:
         raise ParseError(f"invalid manifest JSON: {exc}") from exc
     items: list[QAItem] = []
     for shard in manifest.get("shards", []):
-        path = out / shard["path"]
-        if verify and _file_digest(path) != shard["digest"]:
-            raise DigestMismatchError(f"digest mismatch for {path}")
-        items.extend(read_items_jsonl(path))
+        items.extend(_read_jsonl(out / shard["path"], shard["digest"] if verify else None))
     return items
 
 
@@ -384,7 +477,7 @@ def import_external(raw: bytes | str, source: Source | str) -> list[QAItem]:
         raw = raw.decode("utf-8")
     src = source if isinstance(source, Source) else parse_source(source)
     items = []
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -424,7 +517,7 @@ def import_external(raw: bytes | str, source: Source | str) -> list[QAItem]:
                 answer = normalized
             raw_options = obj.get("options") or []
             options = tuple(str(o) for o in raw_options)
-            answer_index = obj.get("answer_index")
+            answer_index = _answer_index(obj, line_no)
             if fmt == QAFormat.MCQ and answer_index is None and answer in options:
                 answer_index = options.index(answer)
             category = str(obj.get("category", ""))

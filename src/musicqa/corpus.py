@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator
 
 from .errors import MusicQaError, ParseError
 from .ontology import Ontology, leaf_labels
@@ -31,8 +31,8 @@ log = logging.getLogger(__name__)
 
 
 @contextmanager
-def atomic_writer(path: str | Path) -> Iterator[TextIO]:
-    """UTF-8 text handle whose content replaces ``path`` only on success.
+def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """UTF-8 text handle, or a bytes one, whose content replaces ``path`` only on success.
 
     Readers never observe a partial file, and a failed write leaves no
     temp file behind.
@@ -41,7 +41,7 @@ def atomic_writer(path: str | Path) -> Iterator[TextIO]:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -102,7 +102,7 @@ def load_manifest(raw: bytes | str) -> list[ClipRecord]:
         raw = raw.decode("utf-8")
     records: list[ClipRecord] = []
     seen: set[tuple[Source, str]] = set()
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -78,7 +78,7 @@ def load_outputs_jsonl(raw: str) -> list[ModelOutput]:
     from .errors import ParseError
 
     outputs = []
-    for line_no, line in enumerate(raw.splitlines(), start=1):
+    for line_no, line in enumerate(raw.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
@@ -662,8 +662,8 @@ def meteor_exact(candidate: str, reference: str) -> MeteorBreakdown:
 
     Tokens are case-folded, punctuation-stripped, whitespace-split.  The
     alignment maximizes matches, then minimizes chunks (exhaustively up to
-    a search budget, greedily past it).  No stemming or synonymy: scores
-    are not comparable to full METEOR.
+    a search budget and the recursion limit, greedily past either).  No
+    stemming or synonymy: scores are not comparable to full METEOR.
     """
     cand = _tokenize(candidate)
     ref = _tokenize(reference)
@@ -688,7 +688,9 @@ def meteor_exact(candidate: str, reference: str) -> MeteorBreakdown:
     fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
     try:
         chunks = _min_chunks_exact(cand, ref, quota, _CHUNK_SEARCH_BUDGET)
-    except _Budget:
+    except (_Budget, RecursionError):
+        # the search recurses once per candidate position, so a long
+        # output can pass the interpreter's recursion limit before its budget
         chunks = _min_chunks_greedy(cand, ref, quota)
     penalty = 0.5 * (chunks / m) ** 3
     score = fmean * (1.0 - penalty)

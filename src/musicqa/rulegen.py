@@ -96,6 +96,20 @@ class QAItem:
     template_id: Optional[str]
     seed: int
 
+    def __reduce__(self):
+        # Pickled as its field tuple: a worker pool sends every item to the
+        # parent, and the default for a slotted dataclass (a dict of slot
+        # values per item, set one by one on load) costs about twice as much.
+        # The enum members repeat, so pickle's memo writes each once per dump.
+        return (
+            QAItem,
+            (
+                self.qa_id, self.audio_id, self.source, self.format, self.question,
+                self.options, self.answer, self.answer_index, self.category,
+                self.method, self.template_id, self.seed,
+            ),
+        )
+
 
 class PoolCandidate(NamedTuple):
     label_id: str

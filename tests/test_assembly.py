@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from musicqa import assembly
 from musicqa.assembly import (
     CAPTION_INSTRUCTION,
     TABLE_COLUMNS,
@@ -100,6 +103,149 @@ def test_jsonl_corrupt_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         read_items_jsonl(path)
     assert "line 2" in str(err.value)
+
+
+# quotes, backslashes, control characters, the line separators that
+# str.splitlines() breaks at, and characters outside the BMP
+_TRICKY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x85\u2028\u2029\ufeff\U0001d11e\U0001f3b8'),
+        st.characters(),
+    ),
+    max_size=30,
+)
+
+_ITEMS = st.builds(
+    QAItem,
+    qa_id=_TRICKY_TEXT,
+    audio_id=_TRICKY_TEXT,
+    source=st.sampled_from(Source),
+    format=st.sampled_from(QAFormat),
+    question=_TRICKY_TEXT,
+    options=st.lists(_TRICKY_TEXT, max_size=5).map(tuple),
+    answer=_TRICKY_TEXT,
+    answer_index=st.none() | st.integers(-(2**70), 2**70),
+    category=_TRICKY_TEXT,
+    method=st.sampled_from(Method),
+    template_id=st.none() | _TRICKY_TEXT,
+    seed=st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ITEMS)
+def test_item_to_json_matches_json_dumps(item):
+    reference = json.dumps(item_to_dict(item), ensure_ascii=False, separators=(",", ":"))
+    assert item_to_json(item) == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ITEMS)
+def test_item_decode_encode_roundtrip(item):
+    line = item_to_json(item)
+    decoded = item_from_dict(json.loads(line))
+    assert decoded == item
+    assert item_to_json(decoded) == line
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ITEMS)
+def test_qaitem_pickle_roundtrip(item):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(item, protocol=protocol))
+        assert back == item
+        assert (back.source, back.format, back.method) == (item.source, item.format, item.method)
+        assert type(back.format) is QAFormat and type(back.method) is Method
+        assert type(back.source) is Source
+
+
+def test_jsonl_lines_with_unicode_separators(tmp_path):
+    # U+2028, U+2029 and U+0085 stay raw in the text; only "\n" ends a line
+    items = [mk(i, question=f"What is{sep}thing {i}?") for i, sep in
+             enumerate(["\u2028", "\u2029", "\x85", "\r"])]
+    path = tmp_path / "items.jsonl"
+    write_items_jsonl(items, path)
+    assert path.read_bytes().count(b"\n") == len(items)
+    assert read_items_jsonl(path) == items
+
+
+_GOOD_LINE = {
+    "qa_id": "00000000000000a1", "audio_id": "a1", "source": "FMA", "format": "mcq",
+    "question": "Pick one: A. x B. y", "options": ["x", "y"], "answer": "x",
+    "answer_index": 0, "category": "mood", "method": "rule", "template_id": "t1", "seed": 3,
+}
+
+
+_DROP = object()
+
+
+def _line(**changes):
+    obj = {**_GOOD_LINE, **changes}
+    return json.dumps({k: v for k, v in obj.items() if v is not _DROP})
+
+
+# messages of the previous decoder, which built items through json.dumps
+# and the enum constructors; the last four were accepted or crashed there
+@pytest.mark.parametrize("line, message", [
+    (_line(qa_id=_DROP), "line 3: missing field 'qa_id'"),
+    (_line(method=_DROP), "line 3: missing field 'method'"),
+    (_line(format="essay"), "line 3: 'essay' is not a valid QAFormat"),
+    (_line(format=["mcq"]), "line 3: ['mcq'] is not a valid QAFormat"),
+    (_line(method="guess"), "line 3: 'guess' is not a valid Method"),
+    (_line(options="x,y"), "line 3: options must be a list"),
+    (_line(answer_index="0"), "line 3: answer_index must be an integer or null"),
+    (_line(answer_index=0.0), "line 3: answer_index must be an integer or null"),
+    ("[1, 2]", "line 3: expected a JSON object"),
+    ('{"qa_id": ', "line 3: invalid JSON: Expecting value: line 1 column 10 (char 9)"),
+    (_line() + " {}", "line 3: invalid JSON: Extra data: line 1 column 245 (char 244)"),
+    ("\ufeff" + _line(), "line 3: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                          "line 1 column 1 (char 0)"),
+    (_line(answer_index=True), "line 3: answer_index must be an integer or null"),
+    (_line(seed=1.9), "line 3: seed must be an integer"),
+    (_line(seed="5"), "line 3: seed must be an integer"),
+    (_line(seed=None), "line 3: seed must be an integer"),
+])
+def test_jsonl_malformed_line_messages(tmp_path, line, message):
+    path = tmp_path / "items.jsonl"
+    path.write_text(f"{_line()}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        read_items_jsonl(path)
+    assert str(err.value) == message
+    assert err.value.line_no == 3
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TRICKY_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TRICKY_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.text(max_size=20),
+    st.builds(lambda pre, value, post: pre + json.dumps(value, ensure_ascii=False) + post,
+              st.sampled_from(["", "\ufeff", "[", "{"]), _JSON_VALUES,
+              st.sampled_from(["", "x", "}", "]", ",", " {}", "\ufeff"])),
+))
+def test_loads_agrees_with_json_loads(text):
+    line = text.strip()
+    if not line:
+        return
+    try:
+        expected = json.loads(line)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as err:
+            assembly._loads(line)
+        assert str(err.value) == str(exc)
+    else:
+        assert json.dumps(assembly._loads(line)) == json.dumps(expected)
+
+
+def test_item_from_dict_maps_source_aliases():
+    item = item_from_dict({**_GOOD_LINE, "source": " mtt "})
+    assert item.source is Source.MAGNATAGATUNE
+    assert item_from_dict({**_GOOD_LINE, "source": ["FMA"]}).source is Source.OTHER
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +376,51 @@ def test_shards_detect_tampering(tmp_path):
     with pytest.raises(DigestMismatchError):
         read_shards(tmp_path)
     assert read_shards(tmp_path, verify=False)
+
+
+def test_shards_manifest_digest_is_file_sha256(tmp_path):
+    manifest = write_shards([mk(i, question=f"What is\u2028thing {i}?") for i in range(2500)],
+                            1100, tmp_path)
+    assert [s["items"] for s in manifest["shards"]] == [1100, 1100, 300]
+    for shard in manifest["shards"]:
+        data = (tmp_path / shard["path"]).read_bytes()
+        assert shard["digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+    on_disk = json.loads((tmp_path / "manifest.json").read_text("utf-8"))
+    assert on_disk == manifest
+
+
+def test_shards_flipped_byte_breaking_json_is_digest_mismatch(tmp_path):
+    write_shards([mk(i) for i in range(5)], 5, tmp_path)
+    shard = tmp_path / "shard-00000.jsonl"
+    data = bytearray(shard.read_bytes())
+    data[data.index(b'"audio_id"') - 1] ^= 0x01  # "," -> "-"
+    shard.write_bytes(bytes(data))
+    with pytest.raises(DigestMismatchError):
+        read_shards(tmp_path)
+    with pytest.raises(ParseError) as err:
+        read_shards(tmp_path, verify=False)
+    assert "line 1" in str(err.value)
+
+
+def test_shards_invalid_utf8_is_digest_mismatch(tmp_path):
+    write_shards([mk(i) for i in range(5)], 5, tmp_path)
+    shard = tmp_path / "shard-00000.jsonl"
+    shard.write_bytes(shard.read_bytes().replace(b"Thing", b"Th\xffng", 1))
+    with pytest.raises(DigestMismatchError):
+        read_shards(tmp_path)
+
+
+def test_shards_bad_line_under_good_digest_is_parse_error(tmp_path):
+    write_shards([mk(i) for i in range(5)], 5, tmp_path)
+    shard = tmp_path / "shard-00000.jsonl"
+    shard.write_bytes(shard.read_bytes() + b"{broken\n")
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest["shards"][0]["digest"] = "sha256:" + hashlib.sha256(shard.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest), "utf-8")
+    with pytest.raises(ParseError) as err:
+        read_shards(tmp_path)
+    assert "line 6" in str(err.value)
 
 
 def test_shards_missing_manifest(tmp_path):
@@ -418,8 +609,24 @@ def test_import_ids_pinned():
     (json.dumps({"audio_id": "x", "question": "Q?", "answer": "A",
                  "format": "essay"}), "unknown format"),
     (json.dumps({"audio_id": "x", "question": "No mark", "answer": "A"}), "'?'"),
+    (json.dumps({"audio_id": "x", "question": "Pick: A. a B. b", "answer": "b",
+                 "format": "mcq", "options": ["a", "b"], "answer_index": True}),
+     "answer_index must be an integer or null"),
+    (json.dumps({"audio_id": "x", "question": "Pick: A. a B. b", "answer": "b",
+                 "format": "mcq", "options": ["a", "b"], "answer_index": 1.0}),
+     "answer_index must be an integer or null"),
 ])
 def test_import_rejects_bad_lines(line, fragment):
     with pytest.raises(ParseError) as err:
         import_external(line, "Other")
     assert fragment in str(err.value)
+
+
+def test_import_splits_on_newline_only():
+    # json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw
+    lines = [
+        json.dumps({"audio_id": "mc-1", "caption": "Piano.\u2028Then strings."}, ensure_ascii=False),
+        json.dumps({"audio_id": "mc-2", "caption": "Drums\u2029and\x85bass."}, ensure_ascii=False),
+    ]
+    items = import_external("\n".join(lines).encode("utf-8"), "MusicCaps")
+    assert [item.answer for item in items] == ["Piano.\u2028Then strings.", "Drums\u2029and\x85bass."]

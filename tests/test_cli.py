@@ -110,6 +110,29 @@ def test_generate_rule_golden_determinism(ws, capsys):
     assert len(Path(out1).read_bytes()) > 0
 
 
+def test_generate_rule_worker_count_byte_identical(ws, capsys):
+    # enough clips that two workers take the pool path and split the batches
+    rows = [
+        {"audio_id": f"p{n:03d}", "source": "FMA",
+         "labels": [["ag", "rock"], ["piano", "jazz"], ["eg"], ["drums", "pop", "folk"]][n % 4]}
+        for n in range(40)
+    ]
+    (ws / "manifest.jsonl").write_text("\n".join(json.dumps(row) for row in rows))
+    cfg = str(ws / "config.json")
+    outs = []
+    for workers in ("1", "2"):
+        out = ws / f"w{workers}.jsonl"
+        assert main(["generate-rule", "--config", cfg, "--seed", "13", "--workers", workers,
+                     "--out", str(out)]) == EXIT_OK
+        outs.append(out)
+    capsys.readouterr()
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    # plan 2 open + 1 binary + 1 mcq per leaf label
+    assert len(read_items_jsonl(outs[0])) == sum(len(row["labels"]) for row in rows) * 4
+    report = Path(f"{outs[0]}.report.json").read_bytes()
+    assert report == Path(f"{outs[1]}.report.json").read_bytes()
+
+
 def test_generate_rule_seed_required(ws, capsys):
     code, _, cap = run(capsys, "generate-rule", "--config", str(ws / "config.json"))
     assert code == EXIT_USAGE

@@ -55,6 +55,18 @@ def test_load_manifest_accepts_bytes():
     assert clips[0].audio_id == "a1"
 
 
+def test_load_manifest_splits_on_newline_only():
+    # json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw
+    raw = "\n".join([
+        json.dumps({"audio_id": "a1", "source": "FMA", "labels": ["rock"],
+                    "caption": "Guitar\u2028and\u2029voice\x85."}, ensure_ascii=False),
+        manifest_line("a2"),
+    ])
+    clips = load_manifest(raw.encode("utf-8"))
+    assert [c.audio_id for c in clips] == ["a1", "a2"]
+    assert clips[0].caption == "Guitar\u2028and\u2029voice\x85."
+
+
 def test_load_manifest_reports_line_numbers():
     raw = manifest_line() + "\n{broken"
     with pytest.raises(ParseError) as err:

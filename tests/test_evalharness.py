@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import sys
 from collections import Counter
 from itertools import combinations, permutations, product
 
@@ -129,6 +131,16 @@ def test_load_outputs_jsonl():
     with pytest.raises(ParseError) as err:
         load_outputs_jsonl('{"qa_id": "q1"}')
     assert "line 1" in str(err.value)
+
+
+def test_load_outputs_jsonl_splits_on_newline_only():
+    # json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw
+    texts = ["A\u2028because", "no\u2029really", "B\x85then"]
+    raw = "\n".join(
+        json.dumps({"qa_id": f"q{i}", "text": text}, ensure_ascii=False)
+        for i, text in enumerate(texts)
+    )
+    assert load_outputs_jsonl(raw) == [ModelOutput(f"q{i}", t) for i, t in enumerate(texts)]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +564,25 @@ def test_meteor_long_caption_late_match():
         m=1, precision=0.0014265335235378032, recall=0.25, fmean=0.013568521031207599,
         chunks=1, penalty=0.5, score=0.0067842605156037995,
     )
+
+
+def test_meteor_output_past_recursion_limit_falls_back_to_greedy(monkeypatch):
+    # the exact search recurses once per candidate position; an output longer
+    # than the recursion limit is scored by the greedy aligner, as when the
+    # node budget runs out
+    greedy_calls = []
+    greedy = evalharness._min_chunks_greedy
+    monkeypatch.setattr(evalharness, "_min_chunks_greedy",
+                        lambda *args: greedy_calls.append(args) or greedy(*args))
+    n = max(1000, sys.getrecursionlimit())
+    candidate = " ".join([f"filler{k}" for k in range(n)] + ["guitar"])
+    precision, recall = 1 / (n + 1), 0.25
+    fmean = 10.0 * precision * recall / (recall + 9.0 * precision)
+    assert meteor_exact(candidate, "a bright guitar riff") == MeteorBreakdown(
+        m=1, precision=precision, recall=recall, fmean=fmean,
+        chunks=1, penalty=0.5, score=fmean * 0.5,
+    )
+    assert len(greedy_calls) == 1
 
 
 def oracle_min_chunks(cand, ref):
