@@ -6,10 +6,11 @@ JSONL schema is bit-exact and versioned by field order:
     {"qa_id","audio_id","source","format","question","options","answer",
      "answer_index","category","method","template_id","seed"}
 
-Splits are decided per audio id by seeded hashing so every item of a clip
-lands in the same split and adding new clips never reassigns old ones.
-Stats mirror the per-source, per-task table layout (Audio Sources x
-Captioning/QA/MCQ/Binary) and merge associatively.
+Item files, shards and imports are read through corpus.iter_jsonl; this
+module checks only the item fields.  Splits are decided per audio id by
+seeded hashing so every item of a clip lands in the same split and adding
+new clips never reassigns old ones.  Stats mirror the per-source, per-task
+table layout (Audio Sources x Captioning/QA/MCQ/Binary).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from hashlib import blake2b, sha256
 from itertools import islice
 from json.encoder import encode_basestring  # C-backed, as used by json.dumps(ensure_ascii=False)
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .corpus import Source, atomic_writer, parse_source
-from .errors import MusicQaError, ParseError
+from .corpus import Source, atomic_writer, iter_jsonl, parse_source
+from .errors import DataError, MusicQaError, ParseError
 from .llmgen import content_qa_id, normalize_binary_answer, validate_qa_item
 from .rulegen import Method, QAFormat, QAItem
 
@@ -42,7 +43,7 @@ class IoError(MusicQaError):
     """Filesystem failure while writing or reading shards."""
 
 
-class DigestMismatchError(MusicQaError):
+class DigestMismatchError(DataError):
     """A shard's bytes do not match the digest recorded in the manifest."""
 
 
@@ -172,56 +173,32 @@ def write_items_jsonl(items: Iterable[QAItem], path: str | Path) -> None:
     _write_jsonl(items, path)
 
 
-_scan_once = json.JSONDecoder().scan_once  # the C scanner inside json.loads
-
-
-def _loads(line: str):
-    """``json.loads(line)`` for a stripped line, without its per-call wrapper.
-
-    What the scanner rejects, or a value that ends before the line does,
-    goes through json.loads itself, so every error is the one it raises.
-    """
-    try:
-        obj, end = _scan_once(line, 0)
-        if end == len(line):
-            return obj
-    except (StopIteration, json.JSONDecodeError):
-        pass
-    return json.loads(line)
+def _hashed(lines: Iterable[bytes], hasher) -> Iterator[bytes]:
+    for line in lines:
+        hasher.update(line)
+        yield line
 
 
 def _read_jsonl(path: Path, digest: Optional[str] = None) -> list[QAItem]:
-    """Parse a JSONL file of items, one line at a time, split on "\\n" only.
+    """Parse a JSONL file of items in one streamed pass.
 
     With ``digest`` ("sha256:<hex>") the same pass hashes every byte, and a
     mismatch raises DigestMismatchError ahead of any parse error, since a
     corrupted line is more likely than a bad line under a good digest.
     """
-    h = sha256() if digest is not None else None
-    items = []
-    failed: Optional[Exception] = None  # ParseError or UnicodeDecodeError
     with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if h is not None:
-                h.update(raw)
-            if failed is not None:
-                continue
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                try:
-                    obj = _loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from exc
-                if not isinstance(obj, dict):
-                    raise ParseError("expected a JSON object", line_no=line_no)
-                items.append(item_from_dict(obj, line_no=line_no))
-            except (ParseError, UnicodeDecodeError) as exc:
-                if h is None:
-                    raise
-                failed = exc
-    if h is not None and f"sha256:{h.hexdigest()}" != digest:
+        if digest is None:
+            return [item_from_dict(obj, line_no) for line_no, obj in iter_jsonl(fh)]
+        h = sha256()
+        lines = _hashed(fh, h)
+        failed: Optional[ParseError] = None
+        try:
+            items = [item_from_dict(obj, line_no) for line_no, obj in iter_jsonl(lines)]
+        except ParseError as exc:
+            failed = exc
+            for _ in lines:  # hash the rest
+                pass
+    if f"sha256:{h.hexdigest()}" != digest:
         raise DigestMismatchError(f"digest mismatch for {path}")
     if failed is not None:
         raise failed
@@ -338,13 +315,13 @@ def write_shards(items: Sequence[QAItem], shard_size: int, out_dir: str | Path) 
 def read_shards(out_dir: str | Path, verify: bool = True) -> list[QAItem]:
     """Read a sharded dataset back, checking digests unless told otherwise."""
     out = Path(out_dir)
+    path = out / _MANIFEST_NAME
     try:
-        with open(out / _MANIFEST_NAME, encoding="utf-8") as fh:
-            manifest = json.load(fh)
+        manifest = json.loads(path.read_text("utf-8"))
     except OSError as exc:
         raise IoError(f"cannot read manifest in {out}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid manifest JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid manifest JSON in {path}: {exc}") from exc
     items: list[QAItem] = []
     for shard in manifest.get("shards", []):
         items.extend(_read_jsonl(out / shard["path"], shard["digest"] if verify else None))
@@ -375,7 +352,7 @@ TABLE_COLUMNS = ("Audio Sources", "Audios", *TASKS, "Total")
 
 @dataclass
 class DatasetStats:
-    """Per-source task counts with enough state to merge associatively."""
+    """Per-source task counts and the audio ids behind them."""
 
     per_source_task: dict[tuple[str, str], int] = field(default_factory=dict)
     audio_ids: dict[str, set[str]] = field(default_factory=dict)
@@ -393,17 +370,6 @@ class DatasetStats:
     @property
     def grand_total(self) -> int:
         return sum(self.per_source_task.values())
-
-    def __add__(self, other: "DatasetStats") -> "DatasetStats":
-        merged = DatasetStats(
-            per_source_task=dict(self.per_source_task),
-            audio_ids={source: set(ids) for source, ids in self.audio_ids.items()},
-        )
-        for key, count in other.per_source_task.items():
-            merged.per_source_task[key] = merged.per_source_task.get(key, 0) + count
-        for source, ids in other.audio_ids.items():
-            merged.audio_ids.setdefault(source, set()).update(ids)
-        return merged
 
     def _sources(self) -> list[str]:
         present = set(self.audio_ids) | {source for source, _ in self.per_source_task}
@@ -473,20 +439,9 @@ def import_external(raw: bytes | str, source: Source | str) -> list[QAItem]:
     fixed instruction question; QA lines need audio_id, question and
     answer, with an optional format field defaulting to open.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     src = source if isinstance(source, Source) else parse_source(source)
     items = []
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("expected a JSON object", line_no=line_no)
+    for line_no, obj in iter_jsonl(raw):
         audio_id = obj.get("audio_id")
         if not isinstance(audio_id, str) or not audio_id:
             raise ParseError("missing audio_id", line_no=line_no)

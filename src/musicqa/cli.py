@@ -6,7 +6,7 @@ secrets are read only from environment variables.  Every run prints a
 single machine-readable JSON summary line to stdout as its last line;
 progress and throughput go to stderr.  Exit codes: 0 success, 1 usage or
 configuration error, 2 data validation failure, 3 external service
-failure.
+failure; every package error carries its own code (see errors.py).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .assembly import (
-    BadRatioError,
-    DigestMismatchError,
     Split,
     compute_stats,
     deduplicate,
@@ -41,10 +39,9 @@ from .corpus import (
     load_manifest,
     parse_source,
 )
-from .errors import MusicQaError, ParseError
+from .errors import DataError, MusicQaError, ParseError, ServiceError
 from .evalharness import (
     EmbedderConfig,
-    EmbedderError,
     EvalReport,
     HttpEmbedder,
     TaskScores,
@@ -58,25 +55,15 @@ from .evalharness import (
     score_mcq,
 )
 from .llmgen import (
-    AuthError,
     LlmClient,
     LlmEndpointConfig,
-    RateLimitError,
-    RequestTimeoutError,
-    TransportError,
     default_examples,
     default_requested,
     generate_llm_dataset,
     load_examples,
     validate_qa_item,
 )
-from .ontology import (
-    CycleError,
-    DanglingRefError,
-    NotALeafError,
-    UnknownLabelError,
-    parse_ontology,
-)
+from .ontology import UnknownLabelError, parse_ontology
 from .rulegen import (
     FormatPlan,
     QAFormat,
@@ -86,26 +73,13 @@ from .rulegen import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_SERVICE = 3
+EXIT_USAGE = MusicQaError.exit_code
+EXIT_DATA = DataError.exit_code
+EXIT_SERVICE = ServiceError.exit_code
 
 
 class ConfigError(MusicQaError):
     """Invalid or incomplete pipeline configuration."""
-
-
-_SERVICE_ERRORS = (AuthError, RateLimitError, TransportError, RequestTimeoutError, EmbedderError)
-_DATA_ERRORS = (
-    ParseError,
-    DuplicateClipError,
-    CycleError,
-    DanglingRefError,
-    UnknownLabelError,
-    NotALeafError,
-    DigestMismatchError,
-    UnknownQaIdError,
-)
 
 
 @dataclass
@@ -170,7 +144,24 @@ def _write_json(path: str | Path, obj) -> None:
 
 
 def _read_text(path: str | Path) -> str:
-    return Path(path).read_text("utf-8")
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    try:
+        text = _read_text(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{what} {path} must be a JSON object")
+    return doc
 
 
 def _require_seed(cfg: PipelineConfig) -> int:
@@ -195,7 +186,7 @@ def _load_clips(cfg: PipelineConfig, args: argparse.Namespace):
     clips = []
     seen: set[tuple[Source, str]] = set()
     for path in manifest_paths:
-        for clip in load_manifest(_read_text(path)):
+        for clip in load_manifest(Path(path).read_bytes()):
             key = (clip.source, clip.audio_id)
             if key in seen:
                 raise DuplicateClipError(
@@ -335,7 +326,7 @@ def cmd_assemble(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         source, _, path = spec.partition("=")
         if not path:
             raise ConfigError(f"--import expects SOURCE=PATH, got {spec!r}")
-        items.extend(import_external(_read_text(path), source))
+        items.extend(import_external(Path(path).read_bytes(), source))
     before = len(items)
     items = deduplicate(items)
     _progress(f"assemble: {before} items in, {len(items)} after dedup")
@@ -383,13 +374,7 @@ def cmd_stats(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _baseline_report(path: str) -> EvalReport:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read baseline {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"baseline {path} is not valid JSON: {exc}") from exc
+    doc = _read_json_object(path, "baseline")
     report = EvalReport()
     for name, block in doc.get("tasks", {}).items():
         total = int(block.get("total", 1)) or 1
@@ -403,7 +388,7 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     for path in args.items:
         items.extend(_read_items_any(path))
     items = _apply_item_filters(items, args)
-    outputs = load_outputs_jsonl(_read_text(args.outputs))
+    outputs = load_outputs_jsonl(Path(args.outputs).read_bytes())
     by_id = {item.qa_id: item for item in items}
     for output in outputs:
         if output.qa_id not in by_id:
@@ -415,8 +400,9 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     category_map = None
     if args.category_map:
-        with open(args.category_map, encoding="utf-8") as fh:
-            category_map = json.load(fh)
+        category_map = _read_json_object(args.category_map, "category map")
+        if not all(isinstance(group, str) for group in category_map.values()):
+            raise ParseError(f"category map {args.category_map} must map each qa_id to a string")
 
     wanted = {"mcq", "binary", "label-match", "caption"} if args.task == "all" else {args.task}
     fragments: list[TaskScores] = []
@@ -480,18 +466,25 @@ def cmd_validate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 # Parser
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file")
-    sp.add_argument("--seed", type=int, help="global seed (overrides config)")
-    sp.add_argument("--workers", type=int, help="worker processes (overrides config)")
-    sp.add_argument("--out", help="output file or directory")
-    sp.add_argument(
-        "--format-filter",
-        action="append",
-        choices=[fmt.value for fmt in QAFormat],
-        help="keep only this format (repeatable)",
-    )
-    sp.add_argument("--source-filter", action="append", help="keep only this source (repeatable)")
+_SHARED_FLAGS = {
+    "--config": {"help": "JSON config file"},
+    "--seed": {"type": int, "help": "global seed (overrides config)"},
+    "--workers": {"type": int, "help": "worker processes (overrides config)"},
+    "--out": {"help": "output file or directory"},
+    "--format-filter": {
+        "action": "append",
+        "choices": [fmt.value for fmt in QAFormat],
+        "help": "keep only this format (repeatable)",
+    },
+    "--source-filter": {"action": "append", "help": "keep only this source (repeatable)"},
+}
+_OUTPUT_FLAGS = ("--out", "--format-filter", "--source-filter")
+
+
+def _add_flags(sp: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the shared flags a subcommand reads; it accepts no others."""
+    for flag in flags:
+        sp.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -502,17 +495,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("generate-rule", help="template-driven QA generation from ontology labels")
-    _add_common(sp)
+    _add_flags(sp, "--config", "--seed", "--workers", *_OUTPUT_FLAGS)
     sp.add_argument("inputs", nargs="*", help="clip manifest JSONL files")
     sp.set_defaults(func=cmd_generate_rule)
 
     sp = sub.add_parser("generate-llm", help="few-shot LLM QA generation from captions/metadata")
-    _add_common(sp)
+    _add_flags(sp, "--config", *_OUTPUT_FLAGS)
     sp.add_argument("inputs", nargs="*", help="clip manifest JSONL files")
     sp.set_defaults(func=cmd_generate_llm)
 
     sp = sub.add_parser("assemble", help="dedup, split, shard, and count QA items")
-    _add_common(sp)
+    _add_flags(sp, "--config", "--seed", *_OUTPUT_FLAGS)
     sp.add_argument("inputs", nargs="+", help="QAItem JSONL files or shard directories")
     sp.add_argument(
         "--import",
@@ -524,12 +517,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_assemble)
 
     sp = sub.add_parser("stats", help="per-source, per-task dataset statistics")
-    _add_common(sp)
+    _add_flags(sp, *_OUTPUT_FLAGS)
     sp.add_argument("inputs", nargs="+", help="QAItem JSONL files or shard directories")
     sp.set_defaults(func=cmd_stats)
 
     sp = sub.add_parser("eval", help="score model outputs against an evaluation set")
-    _add_common(sp)
+    _add_flags(sp, "--config", *_OUTPUT_FLAGS)
     sp.add_argument("--task", choices=["mcq", "binary", "label-match", "caption", "all"], default="all")
     sp.add_argument("--items", action="append", required=True, help="evaluation items (file or shard dir)")
     sp.add_argument("--outputs", required=True, help="model outputs JSONL ({qa_id, text})")
@@ -538,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("validate", help="check every item invariant in an existing dataset")
-    _add_common(sp)
     sp.add_argument("inputs", nargs="+", help="QAItem JSONL files or shard directories")
     sp.set_defaults(func=cmd_validate)
 
@@ -552,19 +544,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = PipelineConfig.load(args.config)
+        cfg = PipelineConfig.load(getattr(args, "config", None))
         cfg.apply_flags(args)
         return args.func(cfg, args)
-    except _SERVICE_ERRORS as exc:
-        _progress(f"error: {exc}")
-        return EXIT_SERVICE
-    except _DATA_ERRORS as exc:
-        _progress(f"error: {exc}")
-        return EXIT_DATA
-    except (ConfigError, BadRatioError, FileNotFoundError, ValueError) as exc:
-        _progress(f"error: {exc}")
-        return EXIT_USAGE
     except MusicQaError as exc:
+        _progress(f"error: {exc}")
+        return exc.exit_code
+    except (FileNotFoundError, ValueError) as exc:
         _progress(f"error: {exc}")
         return EXIT_USAGE
 

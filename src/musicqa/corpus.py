@@ -7,9 +7,13 @@ A manifest is JSONL, one clip per line::
 
 The pipeline core is source-agnostic: converters from native per-source
 formats (MusicCaps CSV, MTT tag TSV, FMA metadata CSV) produce this one
-format up front.  Sources whose tags are not ontology ids go through a
-tag -> LabelId alias table (see map_labels); unmapped tags are kept in
-metadata for LLM-assisted generation only.
+format up front.
+
+Every JSONL input of the package (manifests, item files and shards,
+imported caption/QA files, model outputs) goes through iter_jsonl, which
+splits lines on "\n" only, decodes UTF-8 and parses each line to an object;
+its callers check only their own fields.  Files are written through
+atomic_writer.
 """
 
 from __future__ import annotations
@@ -19,12 +23,12 @@ import logging
 import os
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
-from .errors import MusicQaError, ParseError
+from .errors import DataError, ParseError
 from .ontology import Ontology, leaf_labels
 
 log = logging.getLogger(__name__)
@@ -52,6 +56,54 @@ def atomic_writer(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+_scan_once = json.JSONDecoder().scan_once  # the C scanner inside json.loads
+
+
+def _loads(line: str):
+    """``json.loads(line)`` for a stripped line, without its per-call wrapper.
+
+    What the scanner rejects, or a value that ends before the line does,
+    goes through json.loads itself, so every error is the one it raises.
+    """
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, json.JSONDecodeError):
+        pass
+    return json.loads(line)
+
+
+def iter_jsonl(data: bytes | str | Iterable[bytes]) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line_no, object)`` for each non-blank line of a JSONL file.
+
+    ``data`` is the whole file, as bytes or text, or a binary file object.
+    Lines end at "\n" only, so U+2028, U+0085 and the like stay inside a
+    line.  A line that is not UTF-8, not JSON or not a JSON object raises
+    ParseError with its line number.
+    """
+    if isinstance(data, bytes):
+        data = data.split(b"\n")
+    elif isinstance(data, str):
+        data = data.split("\n")
+    for line_no, line in enumerate(data, start=1):
+        if not isinstance(line, str):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not valid UTF-8: {exc}", line_no=line_no) from None
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = _loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("expected a JSON object", line_no=line_no)
+        yield line_no, obj
+
+
 class Source(str, Enum):
     MUSICCAPS = "MusicCaps"
     MAGNATAGATUNE = "MagnaTagATune"
@@ -74,7 +126,7 @@ def parse_source(raw: str) -> Source:
     return _SOURCE_ALIASES.get(raw.strip().casefold(), Source.OTHER)
 
 
-class DuplicateClipError(MusicQaError):
+class DuplicateClipError(DataError):
     """The same (source, audio_id) appeared twice in one manifest."""
 
 
@@ -98,19 +150,9 @@ class LabelFrequencyTable:
 
 def load_manifest(raw: bytes | str) -> list[ClipRecord]:
     """Parse a JSONL manifest into ClipRecords, order preserved."""
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     records: list[ClipRecord] = []
     seen: set[tuple[Source, str]] = set()
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("manifest line must be a JSON object", line_no=line_no)
+    for line_no, obj in iter_jsonl(raw):
         record = _record_from_obj(obj, line_no)
         key = (record.source, record.audio_id)
         if key in seen:
@@ -153,26 +195,6 @@ def _record_from_obj(obj: dict, line_no: int) -> ClipRecord:
         metadata=metadata,
         duration_s=float(duration) if duration is not None else None,
     )
-
-
-def map_labels(clips: list[ClipRecord], aliases: dict[str, str]) -> list[ClipRecord]:
-    """Rewrite free-form tags to ontology label ids through an alias table.
-
-    Tags without an alias are dropped from labels and parked in
-    metadata["unmapped_tags"] (comma-joined, sorted) so LLM-assisted
-    generation can still see them.
-    """
-    out = []
-    for clip in clips:
-        mapped = {aliases[t] for t in clip.labels if t in aliases}
-        unmapped = sorted(t for t in clip.labels if t not in aliases)
-        if not unmapped:
-            out.append(replace(clip, labels=frozenset(mapped)))
-            continue
-        metadata = dict(clip.metadata)
-        metadata["unmapped_tags"] = ",".join(unmapped)
-        out.append(replace(clip, labels=frozenset(mapped), metadata=metadata))
-    return out
 
 
 def filter_music_clips(

@@ -12,14 +12,14 @@ also express each task as a percentage of a baseline report.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Protocol, Sequence
 
-from .errors import MusicQaError
+from .corpus import iter_jsonl
+from .errors import DataError, MusicQaError, ParseError, ServiceError
 from .rulegen import QAFormat, QAItem
 
 if TYPE_CHECKING:
@@ -41,7 +41,6 @@ __all__ = [
     "score_binary",
     "score_label_match",
     "score_captions",
-    "match_label_by_similarity",
     "meteor_exact",
     "aggregate_report",
     "relative_percent",
@@ -51,11 +50,11 @@ __all__ = [
 ]
 
 
-class UnknownQaIdError(MusicQaError):
+class UnknownQaIdError(DataError):
     """An output references a qa_id absent from the evaluation set."""
 
 
-class EmbedderError(MusicQaError):
+class EmbedderError(ServiceError):
     """The embedding endpoint failed or returned a malformed payload."""
 
 
@@ -73,20 +72,11 @@ class ModelOutput:
     text: str
 
 
-def load_outputs_jsonl(raw: str) -> list[ModelOutput]:
+def load_outputs_jsonl(raw: bytes | str) -> list[ModelOutput]:
     """Parse {"qa_id","text"} JSONL; blank lines are skipped."""
-    from .errors import ParseError
-
     outputs = []
-    for line_no, line in enumerate(raw.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", line_no=line_no) from exc
-        if not isinstance(obj, dict) or "qa_id" not in obj or "text" not in obj:
+    for line_no, obj in iter_jsonl(raw):
+        if "qa_id" not in obj or "text" not in obj:
             raise ParseError("expected an object with qa_id and text", line_no=line_no)
         outputs.append(ModelOutput(qa_id=str(obj["qa_id"]), text=str(obj["text"])))
     return outputs
@@ -427,17 +417,6 @@ def _norm(vector: EmbeddingVector) -> float:
     return math.sqrt(sum(x * x for x in vector.values))
 
 
-def cosine_similarity(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dim != b.dim:
-        raise DimMismatchError(f"embedding dims differ: {a.dim} vs {b.dim}")
-    dot = sum(x * y for x, y in zip(a.values, b.values))
-    norm_a = _norm(a)
-    norm_b = _norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
-
-
 def _match_labels(
     texts: Sequence[str], candidate_labels: Sequence[str], embedder: Embedder
 ) -> dict[str, str]:
@@ -446,8 +425,8 @@ def _match_labels(
     One embed call covers the distinct labels and texts, and each distinct
     text is matched once.  The dot product sums only the query's nonzero
     entries, in index order: the skipped terms are exact zeros for finite
-    vectors, so every partial sum, and so every similarity, equals
-    cosine_similarity's bit for bit.
+    vectors, so every partial sum, and so every similarity, equals the
+    full cosine's bit for bit.  Ties keep the earliest candidate.
     """
     if len(candidate_labels) < 2:
         raise ValueError("need at least 2 candidate labels")
@@ -475,17 +454,6 @@ def _match_labels(
                 best_sim = sim
         chosen[text] = best_label
     return chosen
-
-
-def match_label_by_similarity(
-    output_text: str, candidate_labels: Sequence[str], embedder: Embedder
-) -> str:
-    """Candidate label with the highest cosine similarity to the output.
-
-    Ties keep the earliest candidate.  Invariant to any positive rescaling
-    of the embeddings.
-    """
-    return _match_labels([output_text], candidate_labels, embedder)[output_text]
 
 
 def score_label_match(

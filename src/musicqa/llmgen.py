@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .corpus import ClipRecord, atomic_writer
-from .errors import MusicQaError, ParseError
+from .errors import MusicQaError, ParseError, ServiceError
 from .rulegen import Method, QAFormat, QAItem
 
 if TYPE_CHECKING:
@@ -42,19 +42,19 @@ class NoContextError(MusicQaError):
     """Clip has neither a caption nor metadata to prompt from."""
 
 
-class AuthError(MusicQaError):
+class AuthError(ServiceError):
     """Endpoint rejected the credential (401/403). Never retried."""
 
 
-class RateLimitError(MusicQaError):
+class RateLimitError(ServiceError):
     """Endpoint kept returning 429 after all retries."""
 
 
-class TransportError(MusicQaError):
+class TransportError(ServiceError):
     """Network failure, server error, or malformed completion payload."""
 
 
-class RequestTimeoutError(MusicQaError, TimeoutError):
+class RequestTimeoutError(ServiceError, TimeoutError):
     """Request exceeded the configured timeout on every retry."""
 
 
@@ -73,10 +73,6 @@ class MusicDimension:
     def __post_init__(self):
         if not self.name or not self.name.strip():
             raise ValueError("dimension name must be non-empty")
-
-    @property
-    def is_canonical(self) -> bool:
-        return self.name in _CANONICAL_DIMENSIONS
 
     @classmethod
     def parse(cls, raw: str) -> "MusicDimension":
@@ -319,10 +315,6 @@ class LlmClient:
             content = self._post_with_retries(messages)
             self._cache_put(key, content)
             return content
-
-    def call_many(self, specs: Sequence[PromptSpec]) -> list[str]:
-        with ThreadPoolExecutor(max_workers=max(1, self.config.concurrency)) as pool:
-            return list(pool.map(self.call, specs))
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}

@@ -17,22 +17,22 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import MusicQaError, ParseError
+from .errors import DataError, ParseError
 
 
-class CycleError(MusicQaError):
+class CycleError(DataError):
     """The child relation contains a cycle."""
 
 
-class DanglingRefError(MusicQaError):
+class DanglingRefError(DataError):
     """A child_ids entry references an id that is not in the file."""
 
 
-class UnknownLabelError(MusicQaError):
+class UnknownLabelError(DataError):
     """A label id was requested that the ontology does not contain."""
 
 
-class NotALeafError(MusicQaError):
+class NotALeafError(DataError):
     """The operation requires a leaf node but got an internal one."""
 
 
@@ -131,17 +131,6 @@ def parse_ontology(raw: bytes | str) -> Ontology:
         roots=roots,
         parents={k: tuple(sorted(v)) for k, v in parents.items()},
     )
-
-
-def serialize_ontology(o: Ontology) -> bytes:
-    """Inverse of parse_ontology: emits the JSON array in node order."""
-    entries = []
-    for node in o.nodes.values():
-        entry = {"id": node.id, "name": node.name, "child_ids": list(node.child_ids)}
-        if node.is_abstract:
-            entry["abstract"] = True
-        entries.append(entry)
-    return json.dumps(entries, ensure_ascii=False, indent=2).encode("utf-8")
 
 
 def _check_acyclic(nodes: dict[str, OntologyNode]) -> None:

@@ -7,13 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from musicqa import assembly
+from musicqa import corpus
 from musicqa.assembly import (
     CAPTION_INSTRUCTION,
     TABLE_COLUMNS,
     TASKS,
     BadRatioError,
-    DatasetStats,
     DigestMismatchError,
     IoError,
     Split,
@@ -236,10 +235,10 @@ def test_loads_agrees_with_json_loads(text):
         expected = json.loads(line)
     except json.JSONDecodeError as exc:
         with pytest.raises(json.JSONDecodeError) as err:
-            assembly._loads(line)
+            corpus._loads(line)
         assert str(err.value) == str(exc)
     else:
-        assert json.dumps(assembly._loads(line)) == json.dumps(expected)
+        assert json.dumps(corpus._loads(line)) == json.dumps(expected)
 
 
 def test_item_from_dict_maps_source_aliases():
@@ -501,44 +500,6 @@ def test_stats_musiccaps_row_small_scale():
     assert row == ["MusicCaps", 22, 13, 42, 30, 13, 98]
 
 
-def test_stats_additivity_disjoint():
-    a = compute_stats([mk(i, audio=f"a{i}", source=Source.FMA) for i in range(10)])
-    b = compute_stats([mk(i + 10, audio=f"b{i}", source=Source.AUDIOSET,
-                          fmt=QAFormat.MCQ) for i in range(5)])
-    both = compute_stats(
-        [mk(i, audio=f"a{i}", source=Source.FMA) for i in range(10)]
-        + [mk(i + 10, audio=f"b{i}", source=Source.AUDIOSET, fmt=QAFormat.MCQ)
-           for i in range(5)]
-    )
-    assert (a + b).to_dict() == both.to_dict()
-
-
-def test_stats_add_associative_and_identity():
-    a = compute_stats([mk(1, audio="x", source=Source.FMA)])
-    b = compute_stats([mk(2, audio="y", source=Source.MUSICCAPS, fmt=QAFormat.CAPTION)])
-    c = compute_stats([mk(3, audio="z", source=Source.OTHER, fmt=QAFormat.BINARY)])
-    assert ((a + b) + c).to_dict() == (a + (b + c)).to_dict()
-    assert (DatasetStats() + a).to_dict() == a.to_dict()
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=30),       # item index
-        st.sampled_from(list(Source)),
-        st.sampled_from(list(QAFormat)),
-    ),
-    max_size=25,
-))
-def test_stats_additivity_property(rows):
-    items = [mk(i, audio=f"g{idx}", source=src, fmt=fmt)
-             for i, (idx, src, fmt) in enumerate(rows)]
-    cut = len(items) // 2
-    left, right = items[:cut], items[cut:]
-    merged = compute_stats(left) + compute_stats(right)
-    assert merged.to_dict() == compute_stats(items).to_dict()
-
-
 def test_filter_formats_zeroes_one_task():
     items = [mk(i, fmt=f) for i in range(12) for f in QAFormat]
     for dropped in QAFormat:
@@ -620,13 +581,3 @@ def test_import_rejects_bad_lines(line, fragment):
     with pytest.raises(ParseError) as err:
         import_external(line, "Other")
     assert fragment in str(err.value)
-
-
-def test_import_splits_on_newline_only():
-    # json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw
-    lines = [
-        json.dumps({"audio_id": "mc-1", "caption": "Piano.\u2028Then strings."}, ensure_ascii=False),
-        json.dumps({"audio_id": "mc-2", "caption": "Drums\u2029and\x85bass."}, ensure_ascii=False),
-    ]
-    items = import_external("\n".join(lines).encode("utf-8"), "MusicCaps")
-    assert [item.answer for item in items] == ["Piano.\u2028Then strings.", "Drums\u2029and\x85bass."]

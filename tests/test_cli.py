@@ -1,5 +1,7 @@
 """End-to-end subcommand tests driven through main() in-process."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 from conftest import FIXTURE_NODES, MockEndpoint
 
-from musicqa.assembly import read_items_jsonl, read_shards, write_items_jsonl
+from musicqa.assembly import read_items_jsonl, read_shards, write_items_jsonl, write_shards
 from musicqa.cli import EXIT_DATA, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
 from musicqa.corpus import Source
 from musicqa.llmgen import validate_qa_item
@@ -481,3 +483,196 @@ def test_generate_llm_rejects_unknown_llm_keys(ws, capsys):
     code, _, cap = run(capsys, "generate-llm", "--config", str(ws / "bad.json"))
     assert code == EXIT_USAGE
     assert "api_key" in cap.err
+
+
+# ---------------------------------------------------------------------------
+# Exit codes and flags
+
+
+def _non_utf8(path):
+    """Make the first line of a text file undecodable (byte 0xff); returns the path."""
+    path.write_bytes(b"\xff" + path.read_bytes())
+    return path
+
+
+def _bad_items(ws, mock_endpoint):
+    items_path, _ = eval_fixture(ws)
+    return ["validate", str(_non_utf8(Path(items_path)))]
+
+
+def _bad_shard(ws, mock_endpoint):
+    # the digest matches, so the shard reaches the line decoder
+    items_path, _ = eval_fixture(ws)
+    out = ws / "shards"
+    write_shards(read_items_jsonl(items_path), 50, out)
+    shard = _non_utf8(out / "shard-00000.jsonl")
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["shards"][0]["digest"] = "sha256:" + hashlib.sha256(shard.read_bytes()).hexdigest()
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    return ["validate", str(out)]
+
+
+def _bad_manifest(ws, mock_endpoint):
+    _non_utf8(ws / "manifest.jsonl")
+    return ["generate-rule", "--config", str(ws / "config.json"), "--seed", "1"]
+
+
+def _bad_import(ws, mock_endpoint):
+    items_path, _ = eval_fixture(ws)
+    external = ws / "captions.jsonl"
+    external.write_bytes(b'{"audio_id": "mc-1", "caption": "Cello\xff."}\n')
+    return ["assemble", "--config", str(ws / "config.json"), "--seed", "3",
+            "--out", str(ws / "ds"), "--import", f"MusicCaps={external}", items_path]
+
+
+def _bad_outputs(ws, mock_endpoint):
+    items_path, outputs_path = eval_fixture(ws)
+    return ["eval", "--items", items_path, "--outputs", str(_non_utf8(Path(outputs_path)))]
+
+
+def _bad_ontology(ws, mock_endpoint):
+    _non_utf8(ws / "ontology.json")
+    return ["generate-rule", "--config", str(ws / "config.json"), "--seed", "1"]
+
+
+def _category_map(content):
+    def build(ws, mock_endpoint):
+        items_path, outputs_path = eval_fixture(ws)
+        path = ws / "groups.json"
+        path.write_bytes(content)
+        return ["eval", "--task", "mcq", "--items", items_path, "--outputs", outputs_path,
+                "--category-map", str(path)]
+    return build
+
+
+def _auth_failure(ws, mock_endpoint):
+    mock_endpoint.script((401, {"error": "bad key"}))
+    return ["generate-llm", "--config", llm_config(ws, mock_endpoint.url)]
+
+
+def _bad_ratios(ws, mock_endpoint):
+    items_path, _ = eval_fixture(ws)
+    config = json.loads((ws / "config.json").read_text())
+    config["split"] = [0.9, 0.2, 0.1]
+    (ws / "bad.json").write_text(json.dumps(config))
+    return ["assemble", "--config", str(ws / "bad.json"), "--seed", "3", items_path]
+
+
+def _ignored_flag(ws, mock_endpoint):
+    items_path, _ = eval_fixture(ws)
+    return ["validate", "--format-filter", "open", items_path]
+
+
+# one malformed input per failure family; the fragment is what the message must name
+@pytest.mark.parametrize("build, code, fragment", [
+    (_bad_items, EXIT_DATA, "line 1: not valid UTF-8"),
+    (_bad_shard, EXIT_DATA, "line 1: not valid UTF-8"),
+    (_bad_manifest, EXIT_DATA, "line 1: not valid UTF-8"),
+    (_bad_import, EXIT_DATA, "line 1: not valid UTF-8"),
+    (_bad_outputs, EXIT_DATA, "line 1: not valid UTF-8"),
+    (_bad_ontology, EXIT_DATA, "ontology.json is not valid UTF-8"),
+    (_category_map(b'{"q": "gr\xffup"}'), EXIT_DATA, "groups.json is not valid UTF-8"),
+    (_category_map(b'{"q": '), EXIT_DATA, "groups.json is not valid JSON"),
+    (_category_map(b'["a", "b"]'), EXIT_DATA, "groups.json must be a JSON object"),
+    (_category_map(b'{"q": 1}'), EXIT_DATA, "groups.json must map each qa_id to a string"),
+    (_auth_failure, EXIT_SERVICE, "401"),
+    (_bad_ratios, EXIT_USAGE, "ratios"),
+    (_ignored_flag, EXIT_USAGE, "--format-filter"),
+], ids=["items", "shard", "manifest", "import", "outputs", "ontology", "category-map-utf8",
+        "category-map-json", "category-map-array", "category-map-values", "auth", "ratios",
+        "ignored-flag"])
+def test_malformed_input_exit_codes(ws, capsys, request, build, code, fragment):
+    endpoint = request.getfixturevalue("mock_endpoint") if build is _auth_failure else None
+    argv = build(ws, endpoint)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert fragment in err
+    assert "Traceback" not in err
+
+
+# every error class and the exit code main() gave it before errors carried their own
+PINNED_EXIT_CODES = {
+    "musicqa.errors.MusicQaError": 1,
+    "musicqa.errors.DataError": 2,
+    "musicqa.errors.ServiceError": 3,
+    "musicqa.errors.ParseError": 2,
+    "musicqa.corpus.DuplicateClipError": 2,
+    "musicqa.ontology.CycleError": 2,
+    "musicqa.ontology.DanglingRefError": 2,
+    "musicqa.ontology.UnknownLabelError": 2,
+    "musicqa.ontology.NotALeafError": 2,
+    "musicqa.assembly.DigestMismatchError": 2,
+    "musicqa.assembly.BadRatioError": 1,
+    "musicqa.assembly.IoError": 1,
+    "musicqa.evalharness.UnknownQaIdError": 2,
+    "musicqa.evalharness.EmbedderError": 3,
+    "musicqa.evalharness.DimMismatchError": 1,
+    "musicqa.evalharness.OverlapError": 1,
+    "musicqa.llmgen.AuthError": 3,
+    "musicqa.llmgen.RateLimitError": 3,
+    "musicqa.llmgen.TransportError": 3,
+    "musicqa.llmgen.RequestTimeoutError": 3,
+    "musicqa.llmgen.NoContextError": 1,
+    "musicqa.rulegen.PlaceholderError": 1,
+    "musicqa.rulegen.InsufficientPoolError": 1,
+    "musicqa.rulegen.EmptyPoolError": 1,
+    "musicqa.cli.ConfigError": 1,
+}
+
+
+def test_error_classes_keep_their_exit_codes(monkeypatch, capsys):
+    from musicqa import cli
+    from musicqa.errors import MusicQaError
+
+    classes, pending = {}, [MusicQaError]
+    while pending:
+        cls = pending.pop()
+        classes[f"{cls.__module__}.{cls.__qualname__}"] = cls
+        pending.extend(cls.__subclasses__())
+    assert set(classes) == set(PINNED_EXIT_CODES)
+    for name, cls in classes.items():
+        assert cls.exit_code == PINNED_EXIT_CODES[name], name
+
+        def raising(cfg, args, cls=cls):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "cmd_stats", raising)
+        assert main(["stats", "items.jsonl"]) == PINNED_EXIT_CODES[name], name
+    capsys.readouterr()
+
+
+def test_subcommands_register_only_the_flags_they_read():
+    from musicqa.cli import build_parser
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    filters = {"--out", "--format-filter", "--source-filter"}
+    assert flags == {
+        "generate-rule": {"--config", "--seed", "--workers", *filters},
+        "generate-llm": {"--config", *filters},
+        "assemble": {"--config", "--seed", "--import", *filters},
+        "stats": filters,
+        "eval": {"--config", "--task", "--items", "--outputs", "--baseline", "--category-map",
+                 *filters},
+        "validate": set(),
+    }
+
+
+def test_tracer_contract_with_cli(tmp_path):
+    # perfbench/tracecli.py rebinds functions on the cli module by name and
+    # fails if one is missing; --help runs that step and exits 0
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracecli.py"), str(tmp_path / "spans.json"),
+         "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "spans.json").is_file()

@@ -4,17 +4,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from musicqa.assembly import import_external
 from musicqa.corpus import (
     ClipRecord,
     DuplicateClipError,
     Source,
     compute_label_frequencies,
     filter_music_clips,
+    iter_jsonl,
     load_manifest,
-    map_labels,
     parse_source,
 )
 from musicqa.errors import ParseError
+from musicqa.evalharness import load_outputs_jsonl
 
 from conftest import make_clip
 
@@ -55,16 +57,60 @@ def test_load_manifest_accepts_bytes():
     assert clips[0].audio_id == "a1"
 
 
-def test_load_manifest_splits_on_newline_only():
+# ---------------------------------------------------------------------------
+# The JSONL reader behind every line-oriented input
+
+
+def test_iter_jsonl_yields_objects_with_line_numbers(tmp_path):
+    raw = '{"a": 1}\n\n  \n{"b": [2]}\n'
+    expected = [(1, {"a": 1}), (4, {"b": [2]})]
+    assert list(iter_jsonl(raw)) == expected
+    assert list(iter_jsonl(raw.encode("utf-8"))) == expected
+    path = tmp_path / "rows.jsonl"
+    path.write_text(raw, "utf-8")
+    with open(path, "rb") as fh:
+        assert list(iter_jsonl(fh)) == expected
+
+
+@pytest.mark.parametrize("line, message", [
+    (b"\xff{}", "line 2: not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                 "in position 0: invalid start byte"),
+    (b"{broken", "line 2: invalid JSON: Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)"),
+    (b"[1, 2]", "line 2: expected a JSON object"),
+    (b'"text"', "line 2: expected a JSON object"),
+])
+def test_iter_jsonl_rejects_bad_lines(line, message):
+    with pytest.raises(ParseError) as err:
+        list(iter_jsonl(b'{"ok": true}\n' + line + b"\n"))
+    assert str(err.value) == message
+    assert err.value.line_no == 2
+
+
+_READERS = {
+    "iter_jsonl": (lambda raw: [obj for _, obj in iter_jsonl(raw)],
+                   lambda i, text: {"text": text}, lambda obj: obj["text"]),
+    "manifest": (load_manifest,
+                 lambda i, text: {"audio_id": f"a{i}", "source": "FMA", "labels": ["rock"],
+                                  "caption": text},
+                 lambda clip: clip.caption),
+    "import": (lambda raw: import_external(raw, "MusicCaps"),
+               lambda i, text: {"audio_id": f"mc-{i}", "caption": text},
+               lambda item: item.answer),
+    "outputs": (load_outputs_jsonl, lambda i, text: {"qa_id": f"q{i}", "text": text},
+                lambda output: output.text),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_jsonl_readers_split_on_newline_only(reader):
     # json.dumps(ensure_ascii=False) writes U+2028, U+2029 and U+0085 raw
-    raw = "\n".join([
-        json.dumps({"audio_id": "a1", "source": "FMA", "labels": ["rock"],
-                    "caption": "Guitar\u2028and\u2029voice\x85."}, ensure_ascii=False),
-        manifest_line("a2"),
-    ])
-    clips = load_manifest(raw.encode("utf-8"))
-    assert [c.audio_id for c in clips] == ["a1", "a2"]
-    assert clips[0].caption == "Guitar\u2028and\u2029voice\x85."
+    read, row, text_of = _READERS[reader]
+    texts = ["Guitar\u2028and\u2029voice\x85.", "Piano.\u2028Then strings.", "B\x85then",
+             "no\u2029really"]
+    raw = "\n".join(json.dumps(row(i, text), ensure_ascii=False) for i, text in enumerate(texts))
+    for data in (raw, raw.encode("utf-8")):
+        assert [text_of(record) for record in read(data)] == texts
 
 
 def test_load_manifest_reports_line_numbers():
@@ -96,17 +142,6 @@ def test_load_manifest_duplicate_detection():
     # same audio_id under different sources is allowed
     raw = manifest_line("a1", "FMA") + "\n" + manifest_line("a1", "AudioSet")
     assert len(load_manifest(raw)) == 2
-
-
-def test_map_labels():
-    clips = [make_clip("a1", {"guitar", "weird-tag"}, metadata={"x": "1"})]
-    mapped = map_labels(clips, {"guitar": "ag"})
-    assert mapped[0].labels == frozenset({"ag"})
-    assert mapped[0].metadata["unmapped_tags"] == "weird-tag"
-    assert mapped[0].metadata["x"] == "1"
-    # fully mapped clip keeps its metadata untouched
-    clean = map_labels([make_clip("a2", {"guitar"})], {"guitar": "ag"})
-    assert "unmapped_tags" not in clean[0].metadata
 
 
 def test_filter_music_clips_keeps_only_leaf_labeled(fixture_ontology):

@@ -44,13 +44,11 @@ FIXTURE_DIR = Path(__file__).parent / "data"
 def test_canonical_dimensions():
     names = [d.name for d in DIMENSIONS]
     assert names == ["instrumentation", "melody", "tempo", "genre", "mood", "function"]
-    assert all(d.is_canonical for d in DIMENSIONS)
 
 
 def test_dimension_parse_normalizes():
     d = MusicDimension.parse("  Mood ")
-    assert d.name == "mood" and d.is_canonical
-    assert not MusicDimension.parse("danceability").is_canonical
+    assert d.name == "mood"
     with pytest.raises(ValueError):
         MusicDimension("")
 
