@@ -324,7 +324,12 @@ def read_shards(out_dir: str | Path, verify: bool = True) -> list[QAItem]:
         raise ParseError(f"invalid manifest JSON in {path}: {exc}") from exc
     items: list[QAItem] = []
     for shard in manifest.get("shards", []):
-        items.extend(_read_jsonl(out / shard["path"], shard["digest"] if verify else None))
+        shard_path = out / shard["path"]
+        try:
+            items.extend(_read_jsonl(shard_path, shard["digest"] if verify else None))
+        except ParseError as exc:
+            # the caller knows only the directory; name the shard that holds the line
+            raise exc.in_file(shard_path) from None
     return items
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -150,6 +152,15 @@ def _read_text(path: str | Path) -> str:
         raise ParseError(f"{path} is not valid UTF-8: {exc}") from None
 
 
+@contextmanager
+def _reading(path):
+    """Name ``path`` in a line-numbered ParseError raised while it is read."""
+    try:
+        yield
+    except ParseError as exc:
+        raise exc.in_file(path) from None
+
+
 def _read_json_object(path: str, what: str) -> dict:
     try:
         text = _read_text(path)
@@ -186,7 +197,9 @@ def _load_clips(cfg: PipelineConfig, args: argparse.Namespace):
     clips = []
     seen: set[tuple[Source, str]] = set()
     for path in manifest_paths:
-        for clip in load_manifest(Path(path).read_bytes()):
+        with _reading(path):
+            manifest = load_manifest(Path(path).read_bytes())
+        for clip in manifest:
             key = (clip.source, clip.audio_id)
             if key in seen:
                 raise DuplicateClipError(
@@ -209,9 +222,10 @@ def _format_filter_set(args: argparse.Namespace) -> set[QAFormat] | None:
 
 
 def _read_items_any(path: str) -> list:
-    if Path(path).is_dir():
-        return read_shards(path)
-    return read_items_jsonl(path)
+    with _reading(path):
+        if Path(path).is_dir():
+            return read_shards(path)
+        return read_items_jsonl(path)
 
 
 def _apply_item_filters(items, args: argparse.Namespace):
@@ -326,7 +340,8 @@ def cmd_assemble(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         source, _, path = spec.partition("=")
         if not path:
             raise ConfigError(f"--import expects SOURCE=PATH, got {spec!r}")
-        items.extend(import_external(Path(path).read_bytes(), source))
+        with _reading(path):
+            items.extend(import_external(Path(path).read_bytes(), source))
     before = len(items)
     items = deduplicate(items)
     _progress(f"assemble: {before} items in, {len(items)} after dedup")
@@ -373,13 +388,24 @@ def cmd_stats(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _baseline_report(path: str) -> EvalReport:
     doc = _read_json_object(path, "baseline")
+    tasks = doc.get("tasks", {})
+    if not isinstance(tasks, dict):
+        raise ParseError(f"baseline {path}: \"tasks\" must be an object")
     report = EvalReport()
-    for name, block in doc.get("tasks", {}).items():
-        total = int(block.get("total", 1)) or 1
-        scores = TaskScores(task=name, total=total, score_sum=float(block["mean"]) * total)
-        report.tasks[name] = scores
+    for name, block in tasks.items():
+        if not isinstance(block, dict):
+            raise ParseError(f"baseline {path}: task {name!r} must be an object")
+        for key in ("mean", "total"):
+            if not _is_number(block.get(key)):
+                raise ParseError(f"baseline {path}: task {name!r} needs a numeric {key!r}")
+        total = int(block["total"]) or 1
+        report.tasks[name] = TaskScores(task=name, total=total, score_sum=float(block["mean"]) * total)
     return report
 
 
@@ -388,7 +414,8 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     for path in args.items:
         items.extend(_read_items_any(path))
     items = _apply_item_filters(items, args)
-    outputs = load_outputs_jsonl(Path(args.outputs).read_bytes())
+    with _reading(args.outputs):
+        outputs = load_outputs_jsonl(Path(args.outputs).read_bytes())
     by_id = {item.qa_id: item for item in items}
     for output in outputs:
         if output.qa_id not in by_id:
@@ -413,12 +440,13 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     if "label-match" in wanted and items_for[QAFormat.OPEN]:
         if cfg.embedder.get("url"):
             allowed = {f.name for f in fields(EmbedderConfig)}
-            embedder = HttpEmbedder(
+            embedder = closing(HttpEmbedder(
                 EmbedderConfig(**{k: v for k, v in cfg.embedder.items() if k in allowed})
-            )
+            ))
         else:
-            embedder = TrigramEmbedder()
-        fragments.append(score_label_match(items_for[QAFormat.OPEN], outputs_for[QAFormat.OPEN], embedder))
+            embedder = nullcontext(TrigramEmbedder())
+        with embedder as embed:
+            fragments.append(score_label_match(items_for[QAFormat.OPEN], outputs_for[QAFormat.OPEN], embed))
     if "caption" in wanted and items_for[QAFormat.CAPTION]:
         fragments.append(score_captions(items_for[QAFormat.CAPTION], outputs_for[QAFormat.CAPTION]))
 

@@ -12,18 +12,17 @@ also express each task as a percentage of a baseline report.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
 from .corpus import iter_jsonl
 from .errors import DataError, MusicQaError, ParseError, ServiceError
+from .jsonpost import JsonPoster
 from .rulegen import QAFormat, QAItem
-
-if TYPE_CHECKING:
-    import requests
 
 __all__ = [
     "ModelOutput",
@@ -326,15 +325,17 @@ class HttpEmbedder:
 
     Embeddings are cached per instance, so repeated label lookups within a
     run hit the network once.  A vector with a NaN or infinite component is
-    rejected: it would make every similarity NaN.
+    rejected: it would make every similarity NaN.  Requests share the
+    package's keep-alive ``JsonPoster``; ``close`` ends its connections.
     """
 
-    def __init__(self, config: EmbedderConfig, session: Optional[requests.Session] = None):
-        import requests
-
+    def __init__(self, config: EmbedderConfig):
         self.config = config
-        self._session = session or requests.Session()
+        self._poster = JsonPoster(config.url, config.timeout_s)
         self._cache: dict[str, EmbeddingVector] = {}
+
+    def close(self) -> None:
+        self._poster.close()
 
     def _headers(self) -> dict:
         import os
@@ -346,7 +347,7 @@ class HttpEmbedder:
         return headers
 
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
-        import requests
+        from http.client import HTTPException
 
         misses = []
         for text in texts:
@@ -355,18 +356,13 @@ class HttpEmbedder:
         for start in range(0, len(misses), self.config.batch_size):
             batch = misses[start : start + self.config.batch_size]
             try:
-                resp = self._session.post(
-                    self.config.url,
-                    json={"texts": batch},
-                    headers=self._headers(),
-                    timeout=self.config.timeout_s,
-                )
-            except requests.RequestException as exc:
+                status, body = self._poster.post({"texts": batch}, self._headers())
+            except (OSError, HTTPException, ValueError) as exc:
                 raise EmbedderError(f"embedding request failed: {exc}") from exc
-            if resp.status_code != 200:
-                raise EmbedderError(f"embedding service returned HTTP {resp.status_code}")
+            if status != 200:
+                raise EmbedderError(f"embedding service returned HTTP {status}")
             try:
-                vectors = resp.json()["embeddings"]
+                vectors = json.loads(body)["embeddings"]
                 parsed = [EmbeddingVector(tuple(float(x) for x in vec)) for vec in vectors]
             except (ValueError, KeyError, TypeError) as exc:
                 raise EmbedderError(f"malformed embedding response: {exc}") from exc

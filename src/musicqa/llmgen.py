@@ -22,18 +22,17 @@ import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .corpus import ClipRecord, atomic_writer
 from .errors import MusicQaError, ParseError, ServiceError
+from .jsonpost import JsonPoster
 from .rulegen import Method, QAFormat, QAItem
-
-if TYPE_CHECKING:
-    import requests
 
 log = logging.getLogger(__name__)
 
@@ -249,22 +248,24 @@ class LlmClient:
     write-temp-then-rename) and served from there forever after.  Transient
     failures (429, 5xx, timeouts, connection drops) are retried with
     exponential backoff and jitter; credential rejections are not.
+
+    Requests go out through a ``JsonPoster``: one keep-alive connection per
+    calling thread, opened on the first cache miss and closed by ``close``.
+    A run served wholly from the cache loads no HTTP code.
     """
 
     def __init__(
         self,
         config: LlmEndpointConfig,
         cache_dir: str | Path | None = None,
-        session: Optional[requests.Session] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        import requests
-
         self.config = config
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._session = session or requests.Session()
+        url = config.base_url.rstrip("/") + "/v1/chat/completions"
+        self._poster = JsonPoster(url, config.timeout_s)
         self._sleep = sleep
         self._sem = threading.BoundedSemaphore(max(1, config.concurrency))
         self._lock = threading.Lock()
@@ -323,11 +324,14 @@ class LlmClient:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    def close(self) -> None:
+        """Close the endpoint connections; a later cache miss opens new ones."""
+        self._poster.close()
+
     def _post_with_retries(self, messages: list[dict]) -> str:
-        import requests
+        from http.client import HTTPException
 
         cfg = self.config
-        url = cfg.base_url.rstrip("/") + "/v1/chat/completions"
         payload = {"model": cfg.model, "messages": messages, "temperature": cfg.temperature}
         attempt = 0
         while True:
@@ -336,15 +340,12 @@ class LlmClient:
                 with self._sem:
                     with self._lock:
                         self.network_calls += 1
-                    resp = self._session.post(
-                        url, json=payload, headers=self._headers(), timeout=cfg.timeout_s
-                    )
-            except requests.Timeout:
+                    status, body = self._poster.post(payload, self._headers())
+            except TimeoutError:
                 error = RequestTimeoutError(f"request timed out after {cfg.timeout_s}s")
-            except requests.RequestException as exc:
+            except (OSError, HTTPException, ValueError) as exc:
                 error = TransportError(f"request failed: {exc}")
             else:
-                status = resp.status_code
                 if status in (401, 403):
                     raise AuthError(f"endpoint rejected credential (HTTP {status})")
                 if status == 429:
@@ -354,7 +355,7 @@ class LlmClient:
                 elif status != 200:
                     raise TransportError(f"unexpected status (HTTP {status})")
                 else:
-                    return self._extract_content(resp)
+                    return self._extract_content(body)
             attempt += 1
             if attempt > cfg.max_retries:
                 raise error
@@ -364,10 +365,9 @@ class LlmClient:
             self._sleep(delay)
 
     @staticmethod
-    def _extract_content(resp: requests.Response) -> str:
+    def _extract_content(body: bytes) -> str:
         try:
-            body = resp.json()
-            content = body["choices"][0]["message"]["content"]
+            content = json.loads(body)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
             raise TransportError("malformed completion response body") from None
         if not isinstance(content, str):
@@ -627,7 +627,8 @@ def generate_llm_dataset(
 
     Per-clip transport failures are recorded and skipped; AuthError aborts
     the run immediately since no later call can succeed.  Output is sorted
-    by qa_id.
+    by qa_id.  The client's connections belong to this run's worker threads
+    and are closed when it ends.
     """
     report = LlmGenerationReport(clips=len(clips))
     prompts: list[tuple[ClipRecord, PromptSpec]] = []
@@ -637,7 +638,8 @@ def generate_llm_dataset(
         except NoContextError:
             report.skipped_no_context += 1
     items: list[QAItem] = []
-    with ThreadPoolExecutor(max_workers=max(1, client.config.concurrency)) as pool:
+    # the pool shuts down first, then the connections its threads held are closed
+    with closing(client), ThreadPoolExecutor(max_workers=max(1, client.config.concurrency)) as pool:
         futures = [(clip, pool.submit(client.call, spec)) for clip, spec in prompts]
         # results are read in prompt order, so the kept rejection samples
         # do not depend on which thread finishes first

@@ -64,15 +64,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_requests_unloaded():
-    # requests is imported only by the commands that talk to an endpoint
+def _run_python(code):
     src = str(Path(__file__).resolve().parents[1] / "src")
     paths = [src, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    code = "import sys, musicqa.cli; print('requests' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=60)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_requests_unloaded():
+    # the HTTP stack is imported only when a request is about to go out
+    code = "import sys, musicqa.cli; print([m in sys.modules for m in ('requests', 'http.client')])"
+    assert _run_python(code) == "[False, False]"
 
 
 def test_help_exits_zero(capsys):
@@ -461,6 +465,12 @@ def test_generate_llm_end_to_end_and_cache(ws, capsys, mock_endpoint):
     assert summary["network_calls"] == 0
     assert summary["items"] == 3
 
+    # a warm run in a fresh process loads no HTTP code at all
+    code = ("import sys; from musicqa.cli import main; "
+            f"rc = main(['generate-llm', '--config', {cfg!r}]); "
+            "print(rc, 'http.client' in sys.modules)")
+    assert _run_python(code) == "0 False"
+
 
 def test_generate_llm_auth_failure_exits_3(ws, capsys, mock_endpoint):
     mock_endpoint.script((401, {"error": "bad key"}))
@@ -496,8 +506,11 @@ def _non_utf8(path):
 
 
 def _bad_items(ws, mock_endpoint):
+    # the bad file is the second of two, so the message must say which one
     items_path, _ = eval_fixture(ws)
-    return ["validate", str(_non_utf8(Path(items_path)))]
+    good = ws / "good_items.jsonl"
+    good.write_bytes(Path(items_path).read_bytes())
+    return ["validate", str(good), str(_non_utf8(Path(items_path)))]
 
 
 def _bad_shard(ws, mock_endpoint):
@@ -545,6 +558,16 @@ def _category_map(content):
     return build
 
 
+def _baseline(content):
+    def build(ws, mock_endpoint):
+        items_path, outputs_path = eval_fixture(ws)
+        path = ws / "baseline.json"
+        path.write_bytes(content)
+        return ["eval", "--task", "mcq", "--items", items_path, "--outputs", outputs_path,
+                "--baseline", str(path)]
+    return build
+
+
 def _auth_failure(ws, mock_endpoint):
     mock_endpoint.script((401, {"error": "bad key"}))
     return ["generate-llm", "--config", llm_config(ws, mock_endpoint.url)]
@@ -563,23 +586,30 @@ def _ignored_flag(ws, mock_endpoint):
     return ["validate", "--format-filter", "open", items_path]
 
 
-# one malformed input per failure family; the fragment is what the message must name
+# one malformed input per failure family; the fragment is what the message must name,
+# with {ws} standing for the workspace directory
 @pytest.mark.parametrize("build, code, fragment", [
-    (_bad_items, EXIT_DATA, "line 1: not valid UTF-8"),
-    (_bad_shard, EXIT_DATA, "line 1: not valid UTF-8"),
-    (_bad_manifest, EXIT_DATA, "line 1: not valid UTF-8"),
-    (_bad_import, EXIT_DATA, "line 1: not valid UTF-8"),
-    (_bad_outputs, EXIT_DATA, "line 1: not valid UTF-8"),
+    (_bad_items, EXIT_DATA, "{ws}/eval_items.jsonl: line 1: not valid UTF-8"),
+    (_bad_shard, EXIT_DATA, "{ws}/shards/shard-00000.jsonl: line 1: not valid UTF-8"),
+    (_bad_manifest, EXIT_DATA, "{ws}/manifest.jsonl: line 1: not valid UTF-8"),
+    (_bad_import, EXIT_DATA, "{ws}/captions.jsonl: line 1: not valid UTF-8"),
+    (_bad_outputs, EXIT_DATA, "{ws}/outputs.jsonl: line 1: not valid UTF-8"),
     (_bad_ontology, EXIT_DATA, "ontology.json is not valid UTF-8"),
     (_category_map(b'{"q": "gr\xffup"}'), EXIT_DATA, "groups.json is not valid UTF-8"),
     (_category_map(b'{"q": '), EXIT_DATA, "groups.json is not valid JSON"),
     (_category_map(b'["a", "b"]'), EXIT_DATA, "groups.json must be a JSON object"),
     (_category_map(b'{"q": 1}'), EXIT_DATA, "groups.json must map each qa_id to a string"),
+    (_baseline(b'{"tasks": []}'), EXIT_DATA, 'baseline.json: "tasks" must be an object'),
+    (_baseline(b'{"tasks": {"mcq": 0.5}}'), EXIT_DATA, "baseline.json: task 'mcq' must be an object"),
+    (_baseline(b'{"tasks": {"mcq": {"total": 3}}}'), EXIT_DATA, "task 'mcq' needs a numeric 'mean'"),
+    (_baseline(b'{"tasks": {"mcq": {"mean": 0.5, "total": "3"}}}'), EXIT_DATA,
+     "task 'mcq' needs a numeric 'total'"),
     (_auth_failure, EXIT_SERVICE, "401"),
     (_bad_ratios, EXIT_USAGE, "ratios"),
     (_ignored_flag, EXIT_USAGE, "--format-filter"),
 ], ids=["items", "shard", "manifest", "import", "outputs", "ontology", "category-map-utf8",
-        "category-map-json", "category-map-array", "category-map-values", "auth", "ratios",
+        "category-map-json", "category-map-array", "category-map-values", "baseline-tasks-array",
+        "baseline-block-number", "baseline-no-mean", "baseline-total-string", "auth", "ratios",
         "ignored-flag"])
 def test_malformed_input_exit_codes(ws, capsys, request, build, code, fragment):
     endpoint = request.getfixturevalue("mock_endpoint") if build is _auth_failure else None
@@ -587,7 +617,7 @@ def test_malformed_input_exit_codes(ws, capsys, request, build, code, fragment):
     capsys.readouterr()
     assert main(argv) == code
     err = capsys.readouterr().err
-    assert fragment in err
+    assert fragment.format(ws=ws) in err
     assert "Traceback" not in err
 
 
