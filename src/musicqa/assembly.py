@@ -312,8 +312,8 @@ def write_shards(items: Sequence[QAItem], shard_size: int, out_dir: str | Path) 
     return manifest
 
 
-def read_shards(out_dir: str | Path, verify: bool = True) -> list[QAItem]:
-    """Read a sharded dataset back, checking digests unless told otherwise."""
+def read_shards(out_dir: str | Path) -> list[QAItem]:
+    """Read a sharded dataset back, checking every shard against its digest."""
     out = Path(out_dir)
     path = out / _MANIFEST_NAME
     try:
@@ -326,7 +326,7 @@ def read_shards(out_dir: str | Path, verify: bool = True) -> list[QAItem]:
     for shard in manifest.get("shards", []):
         shard_path = out / shard["path"]
         try:
-            items.extend(_read_jsonl(shard_path, shard["digest"] if verify else None))
+            items.extend(_read_jsonl(shard_path, shard["digest"]))
         except ParseError as exc:
             # the caller knows only the directory; name the shard that holds the line
             raise exc.in_file(shard_path) from None

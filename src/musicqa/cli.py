@@ -122,6 +122,14 @@ class PipelineConfig:
                 _progress(f"warning: ignoring unknown config key {key!r}")
                 continue
             setattr(cfg, key, value)
+        for key in ("plan", "llm", "embedder"):
+            if not isinstance(getattr(cfg, key), dict):
+                raise ConfigError(f"config key {key!r} must be a JSON object")
+        # one option per letter, A to Z
+        if type(cfg.mcq_options) is not int or not 2 <= cfg.mcq_options <= 26:
+            raise ConfigError(
+                f"config key 'mcq_options' must be an integer from 2 to 26, got {cfg.mcq_options!r}"
+            )
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> None:

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Protocol, Sequence
 
 from .corpus import iter_jsonl
 from .errors import DataError, MusicQaError, ParseError, ServiceError
-from .jsonpost import JsonPoster
+from .jsonpost import JsonPoster, json_headers
 from .rulegen import QAFormat, QAItem
 
 __all__ = [
@@ -337,15 +337,6 @@ class HttpEmbedder:
     def close(self) -> None:
         self._poster.close()
 
-    def _headers(self) -> dict:
-        import os
-
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.config.api_key_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         from http.client import HTTPException
 
@@ -356,7 +347,7 @@ class HttpEmbedder:
         for start in range(0, len(misses), self.config.batch_size):
             batch = misses[start : start + self.config.batch_size]
             try:
-                status, body = self._poster.post({"texts": batch}, self._headers())
+                status, body = self._poster.post({"texts": batch}, json_headers(self.config.api_key_env))
             except (OSError, HTTPException, ValueError) as exc:
                 raise EmbedderError(f"embedding request failed: {exc}") from exc
             if status != 200:

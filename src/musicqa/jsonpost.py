@@ -5,7 +5,8 @@
 Each thread keeps one connection to the URL's host and reuses it.  When a
 reused connection turns out to have been closed by the server while it sat
 idle, the request goes out once more on a fresh connection; that resend is
-part of the same ``post``.  Every other failure is raised as it comes:
+part of the same ``post``.  ``json_headers(token_env)`` builds the headers
+for such a request.  Every other failure is raised as it comes:
 ``TimeoutError`` on a timeout, another ``OSError`` or an
 ``http.client.HTTPException`` from the transport, ``ValueError`` for a URL
 or payload that cannot be sent.
@@ -19,9 +20,19 @@ connection, so importing this module loads no HTTP code.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from functools import cached_property
 from urllib.parse import urlsplit
+
+
+def json_headers(token_env: str) -> dict:
+    """A JSON Content-Type, plus a Bearer token when the variable ``token_env`` is set."""
+    headers = {"Content-Type": "application/json"}
+    token = os.environ.get(token_env)
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    return headers
 
 
 class JsonPoster:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import random
 import threading
 import time
@@ -31,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from .corpus import ClipRecord, atomic_writer
 from .errors import MusicQaError, ParseError, ServiceError
-from .jsonpost import JsonPoster
+from .jsonpost import JsonPoster, json_headers
 from .rulegen import Method, QAFormat, QAItem
 
 log = logging.getLogger(__name__)
@@ -243,11 +242,14 @@ def request_cache_key(messages: list[dict], model: str, temperature: float) -> s
 class LlmClient:
     """Cached, rate-limit-aware chat-completions client.
 
-    Identical requests hit the network exactly once; the response body's
-    assistant content is stored under ``cache_dir`` (atomic
-    write-temp-then-rename) and served from there forever after.  Transient
-    failures (429, 5xx, timeouts, connection drops) are retried with
-    exponential backoff and jitter; credential rejections are not.
+    Identical requests hit the network exactly once per ``cache_dir``: the
+    response body's assistant content is stored there, one file per request
+    (atomic write-temp-then-rename), and served from that file ever after.
+    The files are the only cache; a client without ``cache_dir`` sends every
+    call.  Concurrent identical calls wait on one per-request lock, held only
+    while some call for that request is running.  Transient failures (429,
+    5xx, timeouts, connection drops) are retried with exponential backoff
+    and jitter; credential rejections are not.
 
     Requests go out through a ``JsonPoster``: one keep-alive connection per
     calling thread, opened on the first cache miss and closed by ``close``.
@@ -270,7 +272,6 @@ class LlmClient:
         self._sem = threading.BoundedSemaphore(max(1, config.concurrency))
         self._lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
-        self._memory: dict[str, str] = {}
         self._rng = random.Random()
         self.network_calls = 0
 
@@ -281,21 +282,14 @@ class LlmClient:
         return self.cache_dir / f"{key}.txt"
 
     def _cache_get(self, key: str) -> Optional[str]:
-        hit = self._memory.get(key)
-        if hit is not None:
-            return hit
         if self.cache_dir is None:
             return None
-        path = self._cache_path(key)
         try:
-            content = path.read_text("utf-8")
+            return self._cache_path(key).read_text("utf-8")
         except FileNotFoundError:
             return None
-        self._memory[key] = content
-        return content
 
     def _cache_put(self, key: str, content: str) -> None:
-        self._memory[key] = content
         if self.cache_dir is None:
             return
         with atomic_writer(self._cache_path(key)) as fh:
@@ -309,20 +303,20 @@ class LlmClient:
         key = request_cache_key(messages, self.config.model, self.config.temperature)
         with self._lock:
             key_lock = self._key_locks.setdefault(key, threading.Lock())
-        with key_lock:
-            cached = self._cache_get(key)
-            if cached is not None:
-                return cached
-            content = self._post_with_retries(messages)
-            self._cache_put(key, content)
-            return content
-
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.config.api_key_env)
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
+        try:
+            with key_lock:
+                cached = self._cache_get(key)
+                if cached is not None:
+                    return cached
+                content = self._post_with_retries(messages)
+                self._cache_put(key, content)
+                return content
+        finally:
+            with self._lock:
+                # calls already waiting keep their reference to this lock; a
+                # call that arrives later makes a new one, which stays
+                if self._key_locks.get(key) is key_lock:
+                    del self._key_locks[key]
 
     def close(self) -> None:
         """Close the endpoint connections; a later cache miss opens new ones."""
@@ -340,7 +334,7 @@ class LlmClient:
                 with self._sem:
                     with self._lock:
                         self.network_calls += 1
-                    status, body = self._poster.post(payload, self._headers())
+                    status, body = self._poster.post(payload, json_headers(cfg.api_key_env))
             except TimeoutError:
                 error = RequestTimeoutError(f"request timed out after {cfg.timeout_s}s")
             except (OSError, HTTPException, ValueError) as exc:

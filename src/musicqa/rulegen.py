@@ -24,7 +24,7 @@ import json
 import multiprocessing
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from hashlib import blake2b
 from importlib import resources
@@ -144,11 +144,7 @@ class GenerationReport:
     clips: int = 0
     items: int = 0
     binary_positive_fallbacks: int = 0
-    errors: list[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.errors is None:
-            self.errors = []
+    errors: list[str] = field(default_factory=list)
 
     def merge(self, other: "GenerationReport") -> None:
         self.clips += other.clips
@@ -412,10 +408,13 @@ class _LeafContext(NamedTuple):
     leaf_name: str
     leaf_lower: str
     category_lower: str
-    open_templates: tuple[tuple[str, str], ...]  # (template_id, question)
-    binary_templates: tuple[tuple[str, tuple[str, ...]], ...]  # (template_id, split parts)
-    mcq_templates: tuple[tuple[str, str], ...]  # (template_id, stem)
+    # (template_id, prepared text) per format: the question for open, the
+    # parts around {label} for binary, the stem for MCQ
+    templates: dict[QAFormat, tuple[tuple[str, object], ...]]
     pool: PoolArrays
+
+
+_RULE_FORMATS = (QAFormat.OPEN, QAFormat.BINARY, QAFormat.MCQ)
 
 
 class RuleGenerator:
@@ -437,20 +436,14 @@ class RuleGenerator:
         k_options: int = 4,
     ):
         self.global_seed = global_seed
-        self.plan = plan
         self.k_options = k_options
-        self.music_root = music_root
         self._leaf_ids = leaf_labels(ontology, music_root)
         self._label_names: dict[str, str] = {
             lid: node.name for lid, node in ontology.nodes.items()
         }
         self._plan_seq = tuple(
             (fmt, count)
-            for fmt, count in (
-                (QAFormat.OPEN, plan.open),
-                (QAFormat.BINARY, plan.binary),
-                (QAFormat.MCQ, plan.mcq),
-            )
+            for fmt, count in zip(_RULE_FORMATS, (plan.open, plan.binary, plan.mcq))
             if count > 0
         )
 
@@ -471,40 +464,32 @@ class RuleGenerator:
             for lid in sorted(self._leaf_ids)
         )
 
-        rendered: dict[str, tuple] = {}
+        rendered: dict[str, dict] = {}
         for cat_id in candidates_by_category:
             category_lower = ontology.nodes[cat_id].name.lower()
-            rendered[cat_id] = (
-                tuple(
-                    (t.template_id, self._checked_render(t, category_lower))
-                    for t in _matching_templates(templates, QAFormat.OPEN, category_lower)
-                ),
-                tuple(
-                    (t.template_id, tuple(t.text.split("{label}")))
-                    for t in _matching_templates(templates, QAFormat.BINARY, category_lower)
-                ),
-                tuple(
-                    (t.template_id, self._checked_render(t, category_lower))
-                    for t in _matching_templates(templates, QAFormat.MCQ, category_lower)
-                ),
-            )
+            rendered[cat_id] = {
+                fmt: tuple(
+                    (t.template_id, self._prepared(t, category_lower))
+                    for t in _matching_templates(templates, fmt, category_lower)
+                )
+                for fmt in _RULE_FORMATS
+            }
         self._leaf_context: dict[str, _LeafContext] = {}
         for leaf_id in sorted(self._leaf_ids):
             category = leaf_category[leaf_id]
             name = ontology.nodes[leaf_id].name
-            open_t, binary_t, mcq_t = rendered[category.id]
             self._leaf_context[leaf_id] = _LeafContext(
                 leaf_name=name,
                 leaf_lower=name.lower(),
                 category_lower=category.name.lower(),
-                open_templates=open_t,
-                binary_templates=binary_t,
-                mcq_templates=mcq_t,
+                templates=rendered[category.id],
                 pool=pools[category.id],
             )
 
     @staticmethod
-    def _checked_render(t: QuestionTemplate, category_lower: str) -> str:
+    def _prepared(t: QuestionTemplate, category_lower: str) -> str | tuple[str, ...]:
+        if t.format is QAFormat.BINARY:
+            return tuple(t.text.split("{label}"))
         text = t.text.replace("{category}", category_lower)
         if "{category}" in text or "{label}" in text:
             raise PlaceholderError(
@@ -524,8 +509,10 @@ class RuleGenerator:
         return ontology.nodes[leaf_id]
 
     def for_clip(self, clip: ClipRecord, report: GenerationReport | None = None) -> list[QAItem]:
-        if report is not None:
-            report.clips += 1
+        """The clip's items, per leaf in plan order; counts and errors go to ``report``."""
+        if report is None:
+            report = GenerationReport()
+        report.clips += 1
         leaf_ids = self._leaf_ids
         leaves = sorted(label for label in clip.labels if label in leaf_ids)
         if not leaves:
@@ -538,7 +525,6 @@ class RuleGenerator:
         source = clip.source
         prefix = _seed_prefix(self.global_seed, audio_id)
         k_distractors = self.k_options - 1
-        plan_seq = self._plan_seq
         music_pool = self._music_pool
         items: list[QAItem] = []
         counter = 0
@@ -549,98 +535,61 @@ class RuleGenerator:
             pool = ctx.pool
             binary_pool = pool if _eligible_count(pool, excluded) >= 1 else music_pool
             mcq_pool = pool if _eligible_count(pool, excluded) >= k_distractors else music_pool
-            for fmt, count in plan_seq:
+            for fmt, count in self._plan_seq:
+                templates = ctx.templates[fmt]
                 for _ in range(count):
-                    ent_choice, ent_body = _item_entropy(prefix, counter)
+                    n = counter
                     counter += 1
-                    if fmt is QAFormat.OPEN:
-                        templates = ctx.open_templates
-                        if not templates:
-                            if report is not None:
-                                report.errors.append(
-                                    f"{audio_id} #{counter - 1} open: no template for "
-                                    f"category {category_lower!r}"
-                                )
-                            continue
-                        template_id, question = templates[ent_choice % len(templates)]
-                        items.append(
-                            QAItem(
-                                qa_item_id(audio_id, "open", template_id, ent_body),
-                                audio_id, source, QAFormat.OPEN, question, (),
-                                leaf_name, None, category_lower, Method.RULE,
-                                template_id, ent_body,
-                            )
+                    ent_choice, ent_body = _item_entropy(prefix, n)
+                    if not templates:
+                        report.errors.append(
+                            f"{audio_id} #{n} {fmt.value}: no template for category {category_lower!r}"
                         )
+                        continue
+                    template_id, text = templates[ent_choice % len(templates)]
+                    answer = leaf_name
+                    options: tuple[str, ...] = ()
+                    answer_index = None
+                    if fmt is QAFormat.OPEN:
+                        question = text
                     elif fmt is QAFormat.BINARY:
-                        templates = ctx.binary_templates
-                        if not templates:
-                            if report is not None:
-                                report.errors.append(
-                                    f"{audio_id} #{counter - 1} binary: no template for "
-                                    f"category {category_lower!r}"
-                                )
-                            continue
-                        template_id, parts = templates[ent_choice % len(templates)]
+                        asked_lower = ctx.leaf_lower
                         positive = not ent_body >> 63
-                        if positive:
-                            asked_lower = ctx.leaf_lower
-                        else:
+                        if not positive:
                             try:
-                                asked = _sample_names(
+                                asked_lower = _sample_names(
                                     binary_pool, 1, _SplitMix(ent_body).next01, excluded
-                                )[0]
-                                asked_lower = asked.lower()
+                                )[0].lower()
                             except InsufficientPoolError:
                                 positive = True
-                                asked_lower = ctx.leaf_lower
-                                if report is not None:
-                                    report.binary_positive_fallbacks += 1
-                        items.append(
-                            QAItem(
-                                qa_item_id(audio_id, "binary", template_id, ent_body),
-                                audio_id, source, QAFormat.BINARY,
-                                asked_lower.join(parts), (),
-                                "Yes" if positive else "No", None, category_lower,
-                                Method.RULE, template_id, ent_body,
-                            )
-                        )
+                                report.binary_positive_fallbacks += 1
+                        question = asked_lower.join(text)
+                        answer = "Yes" if positive else "No"
                     else:
-                        templates = ctx.mcq_templates
-                        if not templates:
-                            if report is not None:
-                                report.errors.append(
-                                    f"{audio_id} #{counter - 1} mcq: no template for "
-                                    f"category {category_lower!r}"
-                                )
-                            continue
-                        template_id, stem = templates[ent_choice % len(templates)]
                         sm = _SplitMix(ent_body)
                         try:
-                            options = [leaf_name]
-                            options.extend(
+                            shuffled = [leaf_name]
+                            shuffled.extend(
                                 _sample_names(mcq_pool, k_distractors, sm.next01, excluded)
                             )
                         except InsufficientPoolError as exc:
-                            if report is not None:
-                                report.errors.append(
-                                    f"{audio_id} #{counter - 1} mcq: {exc}"
-                                )
+                            report.errors.append(f"{audio_id} #{n} mcq: {exc}")
                             continue
                         # Fisher-Yates under the same stream
-                        for i in range(len(options) - 1, 0, -1):
+                        for i in range(len(shuffled) - 1, 0, -1):
                             j = int(sm.next01() * (i + 1))
-                            options[i], options[j] = options[j], options[i]
-                        items.append(
-                            QAItem(
-                                qa_item_id(audio_id, "mcq", template_id, ent_body),
-                                audio_id, source, QAFormat.MCQ,
-                                _render_mcq_question(stem, options), tuple(options),
-                                leaf_name, options.index(leaf_name), category_lower,
-                                Method.RULE, template_id, ent_body,
-                            )
+                            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+                        question = _render_mcq_question(text, shuffled)
+                        options = tuple(shuffled)
+                        answer_index = shuffled.index(leaf_name)
+                    items.append(
+                        QAItem(
+                            qa_item_id(audio_id, fmt, template_id, ent_body),
+                            audio_id, source, fmt, question, options, answer, answer_index,
+                            category_lower, Method.RULE, template_id, ent_body,
                         )
-        if report is not None:
-            report.items += len(items)
+                    )
+        report.items += len(items)
         return items
 
 
@@ -655,13 +604,17 @@ def _pool_init(gen: RuleGenerator) -> None:
     _WORKER_GEN = gen
 
 
-def _pool_run(clips: list[ClipRecord]) -> tuple[list[QAItem], GenerationReport]:
-    assert _WORKER_GEN is not None
+def _run_batch(gen: RuleGenerator, clips: list[ClipRecord]) -> tuple[list[QAItem], GenerationReport]:
     report = GenerationReport()
     items: list[QAItem] = []
     for clip in clips:
-        items.extend(_WORKER_GEN.for_clip(clip, report=report))
+        items.extend(gen.for_clip(clip, report))
     return items, report
+
+
+def _pool_run(clips: list[ClipRecord]) -> tuple[list[QAItem], GenerationReport]:
+    assert _WORKER_GEN is not None
+    return _run_batch(_WORKER_GEN, clips)
 
 
 def generate_rule_dataset(
@@ -682,16 +635,13 @@ def generate_rule_dataset(
     and clip order.
     """
     gen = RuleGenerator(ontology, freqs, templates, plan, global_seed, music_root, k_options)
-    report = GenerationReport()
     if workers <= 1 or len(clips) < 2 * workers:
-        items: list[QAItem] = []
-        for clip in clips:
-            items.extend(gen.for_clip(clip, report=report))
+        items, report = _run_batch(gen, clips)
     else:
         chunk = max(1, len(clips) // (workers * 4))
         batches = [clips[i : i + chunk] for i in range(0, len(clips), chunk)]
         ctx = multiprocessing.get_context("fork")
-        items = []
+        items, report = [], GenerationReport()
         with ctx.Pool(workers, initializer=_pool_init, initargs=(gen,)) as pool:
             for batch_items, batch_report in pool.imap_unordered(_pool_run, batches):
                 items.extend(batch_items)

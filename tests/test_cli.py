@@ -161,6 +161,28 @@ def test_generate_rule_unknown_music_root(ws, capsys):
     assert "Zither Society" in cap.err
 
 
+
+@pytest.mark.parametrize("key, value", [
+    ("plan", [1, 1, 1]),
+    ("embedder", []),
+    ("llm", "http://localhost"),
+    ("mcq_options", 27),
+    ("mcq_options", 1),
+    ("mcq_options", 0),
+    ("mcq_options", "4"),
+    ("mcq_options", True),
+])
+def test_config_value_of_wrong_type_is_usage_error(ws, capsys, key, value):
+    config = json.loads((ws / "config.json").read_text())
+    config[key] = value
+    (ws / "bad.json").write_text(json.dumps(config))
+    code, _, cap = run(capsys, "generate-rule", "--config", str(ws / "bad.json"), "--seed", "1")
+    assert code == EXIT_USAGE
+    assert cap.err.startswith("error: ") and repr(key) in cap.err
+    assert "Traceback" not in cap.err
+    assert not (ws / "out").exists()
+
+
 def test_generate_rule_bad_manifest_is_data_error(ws, capsys):
     (ws / "manifest.jsonl").write_text('{"audio_id": "x"}\n')
     code, _, _ = run(capsys, "generate-rule", "--config", str(ws / "config.json"), "--seed", "1")

@@ -425,6 +425,18 @@ def test_generate_llm_dataset_end_to_end(mock_endpoint, tmp_path):
     assert client.network_calls == 2
 
 
+def test_client_holds_no_per_prompt_state_after_a_run(mock_endpoint, tmp_path):
+    mock_endpoint.script((200, MockEndpoint.chat_body(VALID_CONTENT)))
+    client = make_client(mock_endpoint, tmp_path, concurrency=4)
+    clips = [make_clip(f"c{i}", {"x"}, caption=f"Clip number {i}.") for i in range(40)]
+    items, report = generate_llm_dataset(clips, client, default_examples(), default_requested())
+    assert report.failures == [] and len(items) == 80
+    assert client.network_calls == 40
+    # responses live in the cache files, and no prompt keeps a lock
+    assert len(list(tmp_path.glob("*.txt"))) == 40
+    assert client._key_locks == {}
+
+
 def test_generate_llm_dataset_records_failures_and_continues(mock_endpoint):
     mock_endpoint.script((404, {"error": "missing"}))
     client = make_client(mock_endpoint)

@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from musicqa.assembly import write_items_jsonl
 from musicqa.corpus import LabelFrequencyTable
 from musicqa.errors import ParseError
 from musicqa.llmgen import validate_qa_item
@@ -479,7 +482,6 @@ def test_dataset_sorted_and_deterministic():
 def test_dataset_order_independent():
     o, clips, freqs = wide_ontology(3, 8), wide_corpus(40, 3, 8), wide_freqs(3, 8)
     ts = default_templates()
-    import random
     shuffled = list(clips)
     random.Random(1).shuffle(shuffled)
     a, _ = generate_rule_dataset(clips, o, freqs, ts, FormatPlan(1, 1, 1), 5, music_root="music")
@@ -513,6 +515,49 @@ def test_batch_items_pass_validation():
     assert report.errors == []
     for item in items:
         assert validate_qa_item(item) == [], item
+
+
+# Templates that leave every format without a template for one category:
+# open and MCQ cover only instruments, binary covers only genres.
+PINNED_TEMPLATES = [
+    T("o1", QAFormat.OPEN, "What is the {category} here?", "Musical instrument"),
+    T("o2", QAFormat.OPEN, "Name the {category} you hear.", "Musical instrument"),
+    T("b1", QAFormat.BINARY, "Is {label} present?", "Music genre"),
+    T("b2", QAFormat.BINARY, "Does this sound like {label}?", "Music genre"),
+    T("m1", QAFormat.MCQ, "Select the {category}:", "Musical instrument"),
+    T("m2", QAFormat.MCQ, "Which {category} plays?", "Musical instrument"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dataset_bytes_pinned(fixture_ontology, fixture_freqs, tmp_path, workers):
+    # every branch of for_clip: items of each format, a missing template for
+    # each format, binary positive fallbacks (the clip with every leaf) and
+    # MCQs skipped for short pools (that clip and the six-leaf one)
+    rng = random.Random(3)
+    leaves = sorted(FIXTURE_LEAF_IDS)
+    clips = [make_clip(f"p{n:02d}", rng.sample(leaves, rng.randint(1, 3))) for n in range(12)]
+    clips += [
+        make_clip("all", FIXTURE_LEAF_IDS),
+        make_clip("six", {"ag", "eg", "piano", "drums", "rock", "jazz"}),
+        make_clip("speech", {"sp1"}),
+    ]
+    items, report = generate_rule_dataset(clips, fixture_ontology, fixture_freqs, PINNED_TEMPLATES,
+                                          FormatPlan(2, 2, 2), 11, music_root="music",
+                                          workers=workers)
+    assert Counter(i.format for i in items) == {QAFormat.OPEN: 38, QAFormat.BINARY: 38, QAFormat.MCQ: 22}
+    assert report.binary_positive_fallbacks == 4
+    kinds = Counter(" ".join(e.split()[2:4]) for e in report.errors)
+    assert kinds == {"open: no": 38, "binary: no": 38, "mcq: no": 38, "mcq: pool": 16}
+    path = tmp_path / "items.jsonl"
+    write_items_jsonl(items, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "7b8e2a04eac6ddc7b90709c235c955392486ffce2736c8d48bcd3613fcd44d69"
+    )
+    report_bytes = json.dumps(report.to_dict(), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(report_bytes).hexdigest() == (
+        "7607bdda107732edfca2684b51a6d25a4c8f2e09eed683e105e22443f663e87f"
+    )
 
 
 # ---------------------------------------------------------------------------
