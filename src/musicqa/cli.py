@@ -125,6 +125,13 @@ class PipelineConfig:
         for key in ("plan", "llm", "embedder"):
             if not isinstance(getattr(cfg, key), dict):
                 raise ConfigError(f"config key {key!r} must be a JSON object")
+        # a missing format means 0 items of it
+        for fmt, count in cfg.plan.items():
+            if fmt not in ("open", "binary", "mcq") or type(count) is not int or count < 0:
+                raise ConfigError(
+                    "config key 'plan' maps open, binary and mcq to non-negative integers, "
+                    f"got {fmt!r}: {count!r}"
+                )
         # one option per letter, A to Z
         if type(cfg.mcq_options) is not int or not 2 <= cfg.mcq_options <= 26:
             raise ConfigError(
@@ -425,11 +432,10 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     with _reading(args.outputs):
         outputs = load_outputs_jsonl(Path(args.outputs).read_bytes())
     by_id = {item.qa_id: item for item in items}
+    outputs_for = {fmt: [] for fmt in QAFormat}
     for output in outputs:
         if output.qa_id not in by_id:
             raise UnknownQaIdError(f"output references unknown qa_id {output.qa_id!r}")
-    outputs_for = {fmt: [] for fmt in QAFormat}
-    for output in outputs:
         outputs_for[by_id[output.qa_id].format].append(output)
     items_for = {fmt: [item for item in items if item.format == fmt] for fmt in QAFormat}
 

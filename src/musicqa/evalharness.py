@@ -2,12 +2,16 @@
 
 Four scorers: MCQ accuracy (with optional category grouping), binary
 yes/no accuracy, similarity-based label matching through a pluggable
-embedding endpoint, and exact-match METEOR for captions.  Free-form model
-text is mapped to answers by fixed, documented rules: MCQ extraction
-tries a standalone option letter first and falls back to the longest
-option substring; binary extraction takes the first standalone yes/no
-token.  Fragments from different tasks merge into one report that can
-also express each task as a percentage of a baseline report.
+embedding endpoint, and exact-match METEOR for captions.  Each accepts
+only items of its own format, and all four share one output lookup and
+one tally: a missing output scores 0 and counts as missing, an output
+with no readable answer scores 0 and counts as unparseable.  Free-form
+model text is mapped to answers by fixed, documented rules: MCQ
+extraction tries a standalone option letter first, skipping the letter
+of a contraction such as "I'd", and falls back to the longest option
+substring; binary extraction takes the first standalone yes/no token.
+Fragments from different tasks merge into one report that can also
+express each task as a percentage of a baseline report.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Iterable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
 
 from .corpus import iter_jsonl
 from .errors import DataError, MusicQaError, ParseError, ServiceError
@@ -84,20 +88,21 @@ def load_outputs_jsonl(raw: bytes | str) -> list[ModelOutput]:
 # ---------------------------------------------------------------------------
 # Answer extraction
 
-_STANDALONE_LETTER = re.compile(r"(?<![A-Za-z0-9])([A-Za-z])(?![A-Za-z0-9])")
+# a letter right after a word and an apostrophe is a contraction ("I'd"), not an answer
+_STANDALONE_LETTER = re.compile(r"(?<![A-Za-z0-9])(?<!\w['\u2019])([A-Za-z])(?![A-Za-z0-9])")
 _STANDALONE_YESNO = re.compile(r"(?<![A-Za-z0-9])(yes|no)(?![A-Za-z0-9])", re.IGNORECASE)
 
 
-def extract_mcq_answer(output: ModelOutput | str, options: Sequence[str]) -> Optional[int]:
+def extract_mcq_answer(text: str, options: Sequence[str]) -> Optional[int]:
     """Map free-form output text to an option index, or None.
 
     Resolution order: (1) first standalone letter naming a valid option,
-    any case; (2) longest option whose case-folded text occurs in the
-    output, earlier option winning length ties; (3) None.
+    any case, skipping a contraction's letter such as the "d" of "I'd";
+    (2) longest option whose case-folded text occurs in the output,
+    earlier option winning length ties; (3) None.
     """
     if not options:
         raise ValueError("options must be non-empty")
-    text = output.text if isinstance(output, ModelOutput) else output
     for match in _STANDALONE_LETTER.finditer(text):
         index = ord(match.group(1).upper()) - ord("A")
         if 0 <= index < len(options):
@@ -126,7 +131,9 @@ def extract_binary_answer(text: str) -> Optional[str]:
 
 
 @dataclass
-class CategoryScores:
+class MeanScore:
+    """Count and sum of per-item scores in [0, 1]."""
+
     total: int = 0
     score_sum: float = 0.0
 
@@ -135,26 +142,17 @@ class CategoryScores:
         return self.score_sum / self.total if self.total else 0.0
 
 
-@dataclass
-class TaskScores:
-    """One task's aggregate: mean of per-item scores in [0, 1]."""
+@dataclass(kw_only=True)
+class TaskScores(MeanScore):
+    """One task's aggregate, with the missing and unparseable counts and a mean per category."""
 
     task: str
-    total: int = 0
-    score_sum: float = 0.0
     missing: int = 0
     unparseable: int = 0
-    per_category: dict[str, CategoryScores] = field(default_factory=dict)
+    per_category: dict[str, MeanScore] = field(default_factory=dict)
 
-    @property
-    def mean(self) -> float:
-        return self.score_sum / self.total if self.total else 0.0
-
-    def add(self, score: float, category: Optional[str] = None) -> None:
-        self.total += 1
-        self.score_sum += score
-        if category is not None:
-            bucket = self.per_category.setdefault(category, CategoryScores())
+    def add(self, score: float, category: str) -> None:
+        for bucket in (self, self.per_category.setdefault(category, MeanScore())):
             bucket.total += 1
             bucket.score_sum += score
 
@@ -226,16 +224,43 @@ def aggregate_report(
 # Accuracy scorers
 
 
-def _outputs_by_id(
-    items: Sequence[QAItem], outputs: Sequence[ModelOutput]
-) -> dict[str, ModelOutput]:
-    known = {item.qa_id for item in items}
-    by_id: dict[str, ModelOutput] = {}
+def _output_texts(
+    items: Sequence[QAItem], outputs: Sequence[ModelOutput], fmt: QAFormat
+) -> list[Optional[str]]:
+    """Each item's output text, or None; a later output for a qa_id wins."""
+    text_of: dict[str, Optional[str]] = {}
+    for item in items:
+        if item.format != fmt:
+            raise ValueError(f"{fmt.value} scorer got a {item.format.value} item ({item.qa_id})")
+        text_of[item.qa_id] = None
     for output in outputs:
-        if output.qa_id not in known:
+        if output.qa_id not in text_of:
             raise UnknownQaIdError(f"output references unknown qa_id {output.qa_id!r}")
-        by_id[output.qa_id] = output
-    return by_id
+        text_of[output.qa_id] = output.text
+    return [text_of[item.qa_id] for item in items]
+
+
+def _tally(
+    task: str,
+    items: Sequence[QAItem],
+    texts: Sequence[Optional[str]],
+    grade: Callable[[QAItem, str], Optional[float]],
+    category_map: Optional[Mapping[str, str]] = None,
+) -> TaskScores:
+    """Per-item ``grade`` by category; a missing text or a None grade scores 0."""
+    scores = TaskScores(task=task)
+    for item, text in zip(items, texts):
+        if category_map is not None:
+            category = category_map.get(item.qa_id, "(uncategorized)")
+        else:
+            category = item.category or "(uncategorized)"
+        score = None if text is None else grade(item, text)
+        if text is None:
+            scores.missing += 1
+        elif score is None:
+            scores.unparseable += 1
+        scores.add(score or 0.0, category)
+    return scores
 
 
 def score_mcq(
@@ -244,51 +269,22 @@ def score_mcq(
     category_map: Optional[Mapping[str, str]] = None,
 ) -> TaskScores:
     """Accuracy over MCQ items; missing or unextractable outputs count wrong."""
-    for item in items:
-        if item.format != QAFormat.MCQ:
-            raise ValueError(f"score_mcq got a {item.format.value} item ({item.qa_id})")
-    by_id = _outputs_by_id(items, outputs)
-    scores = TaskScores(task="mcq")
-    for item in items:
-        if category_map is not None:
-            category = category_map.get(item.qa_id, "(uncategorized)")
-        else:
-            category = item.category or "(uncategorized)"
-        output = by_id.get(item.qa_id)
-        if output is None:
-            scores.missing += 1
-            scores.add(0.0, category)
-            continue
-        index = extract_mcq_answer(output, item.options)
-        if index is None:
-            scores.unparseable += 1
-            scores.add(0.0, category)
-            continue
-        scores.add(1.0 if index == item.answer_index else 0.0, category)
-    return scores
+
+    def grade(item: QAItem, text: str) -> Optional[float]:
+        index = extract_mcq_answer(text, item.options)
+        return None if index is None else float(index == item.answer_index)
+
+    return _tally("mcq", items, _output_texts(items, outputs, QAFormat.MCQ), grade, category_map)
 
 
 def score_binary(items: Sequence[QAItem], outputs: Sequence[ModelOutput]) -> TaskScores:
     """Accuracy over yes/no items; outputs without a yes/no token count wrong."""
-    for item in items:
-        if item.format != QAFormat.BINARY:
-            raise ValueError(f"score_binary got a {item.format.value} item ({item.qa_id})")
-    by_id = _outputs_by_id(items, outputs)
-    scores = TaskScores(task="binary")
-    for item in items:
-        category = item.category or "(uncategorized)"
-        output = by_id.get(item.qa_id)
-        if output is None:
-            scores.missing += 1
-            scores.add(0.0, category)
-            continue
-        answer = extract_binary_answer(output.text)
-        if answer is None:
-            scores.unparseable += 1
-            scores.add(0.0, category)
-            continue
-        scores.add(1.0 if answer.casefold() == item.answer.casefold() else 0.0, category)
-    return scores
+
+    def grade(item: QAItem, text: str) -> Optional[float]:
+        answer = extract_binary_answer(text)
+        return None if answer is None else float(answer.casefold() == item.answer.casefold())
+
+    return _tally("binary", items, _output_texts(items, outputs, QAFormat.BINARY), grade)
 
 
 # ---------------------------------------------------------------------------
@@ -454,21 +450,14 @@ def score_label_match(
     The vocabulary defaults to the distinct gold answers of the items.  It
     and the output texts are embedded together, once per distinct text.
     """
-    by_id = _outputs_by_id(items, outputs)
+    texts = _output_texts(items, outputs, QAFormat.OPEN)
     if candidate_labels is None:
         candidate_labels = sorted({item.answer for item in items})
-    texts = [by_id[item.qa_id].text for item in items if item.qa_id in by_id]
-    chosen = _match_labels(texts, candidate_labels, embedder) if texts else {}
-    scores = TaskScores(task="label_match")
-    for item in items:
-        category = item.category or "(uncategorized)"
-        output = by_id.get(item.qa_id)
-        if output is None:
-            scores.missing += 1
-            scores.add(0.0, category)
-            continue
-        scores.add(1.0 if chosen[output.text] == item.answer else 0.0, category)
-    return scores
+    given = [text for text in texts if text is not None]
+    chosen = _match_labels(given, candidate_labels, embedder) if given else {}
+    return _tally(
+        "label_match", items, texts, lambda item, text: float(chosen[text] == item.answer)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +643,5 @@ def meteor_exact(candidate: str, reference: str) -> MeteorBreakdown:
 
 def score_captions(items: Sequence[QAItem], outputs: Sequence[ModelOutput]) -> TaskScores:
     """Mean meteor_exact of outputs against gold captions; missing scores 0."""
-    by_id = _outputs_by_id(items, outputs)
-    scores = TaskScores(task="caption")
-    for item in items:
-        category = item.category or "(uncategorized)"
-        output = by_id.get(item.qa_id)
-        if output is None:
-            scores.missing += 1
-            scores.add(0.0, category)
-            continue
-        scores.add(meteor_exact(output.text, item.answer).score, category)
-    return scores
+    texts = _output_texts(items, outputs, QAFormat.CAPTION)
+    return _tally("caption", items, texts, lambda item, text: meteor_exact(text, item.answer).score)

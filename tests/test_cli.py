@@ -171,6 +171,11 @@ def test_generate_rule_unknown_music_root(ws, capsys):
     ("mcq_options", 0),
     ("mcq_options", "4"),
     ("mcq_options", True),
+    ("plan", {"opne": 2, "binary": 1, "mcq": 1}),
+    ("plan", {"open": -3}),
+    ("plan", {"open": "2"}),
+    ("plan", {"open": True}),
+    ("plan", {"open": 1.9}),
 ])
 def test_config_value_of_wrong_type_is_usage_error(ws, capsys, key, value):
     config = json.loads((ws / "config.json").read_text())

@@ -62,7 +62,9 @@ def item(qa_id, fmt=QAFormat.MCQ, question="Pick one: A. Guitar B. Violin C. Uku
     ("(D)", 3),
     ("The answer is B", 1),
     ("my pick would be C", 2),
-    ("I'd say B", 3),  # contraction exposes standalone "d" -> index 3 wins first
+    ("I'd say B", 1),  # the "d" of a contraction is not an option letter
+    ("I\u2019d say B", 1),  # nor after a typographic apostrophe
+    ("the answer is 'B'", 1),  # a quoted letter still counts
     ("it's A", 0),                      # stray standalone letters with no option skipped
     ("E or F, maybe D", 3),             # out-of-range letters skipped until a valid one
     ("guitar", 0),                      # falls back to option text
@@ -96,11 +98,6 @@ def test_extract_mcq_none_and_empty_options():
     assert extract_mcq_answer("no clue", ("Guitar", "Violin")) is None
     with pytest.raises(ValueError):
         extract_mcq_answer("A", ())
-
-
-def test_extract_mcq_accepts_model_output():
-    out = ModelOutput(qa_id="q", text="B")
-    assert extract_mcq_answer(out, ("x", "y", "z")) == 1
 
 
 @settings(max_examples=80, deadline=None)
@@ -160,13 +157,6 @@ def test_score_mcq_hand_fixture():
     assert 0.0 <= scores.mean <= 1.0
 
 
-def test_score_mcq_rejects_wrong_format_and_unknown_ids():
-    with pytest.raises(ValueError):
-        score_mcq([item("q1", fmt=QAFormat.BINARY, question="Is it?", answer="Yes")], [])
-    with pytest.raises(UnknownQaIdError):
-        score_mcq([item("q1")], [ModelOutput("ghost", "A")])
-
-
 def test_score_mcq_category_map_override():
     items = [item("q1"), item("q2")]
     outputs = [ModelOutput("q1", "A"), ModelOutput("q2", "A")]
@@ -174,10 +164,37 @@ def test_score_mcq_category_map_override():
     assert set(scores.per_category) == {"mapped", "(uncategorized)"}
 
 
-def test_score_mcq_later_output_overrides():
-    items = [item("q1")]
-    outputs = [ModelOutput("q1", "B"), ModelOutput("q1", "A")]
-    assert score_mcq(items, outputs).mean == 1.0
+# each scorer, the format it accepts, a gold answer, and a right and a wrong output
+SCORERS = {
+    "mcq": (score_mcq, QAFormat.MCQ, "Guitar", "A", "B"),
+    "binary": (score_binary, QAFormat.BINARY, "Yes", "yes", "no"),
+    "label_match": (lambda items, outputs: score_label_match(
+        items, outputs, TrigramEmbedder(), candidate_labels=["Guitar", "Drums"]),
+        QAFormat.OPEN, "Guitar", "a guitar", "drums"),
+    "caption": (score_captions, QAFormat.CAPTION, "a gentle piano melody",
+                "a gentle piano melody", "loud drums"),
+}
+
+
+@pytest.mark.parametrize("task", SCORERS)
+def test_scorer_rejects_wrong_format_and_unknown_ids(task):
+    scorer, fmt, *_ = SCORERS[task]
+    wrong = QAFormat.BINARY if fmt is QAFormat.MCQ else QAFormat.MCQ
+    with pytest.raises(ValueError):
+        scorer([item("q1", fmt=wrong)], [])
+    with pytest.raises(UnknownQaIdError):
+        scorer([item("q1", fmt=fmt)], [ModelOutput("ghost", "A")])
+
+
+@pytest.mark.parametrize("task", SCORERS)
+def test_scorer_later_output_overrides(task):
+    scorer, fmt, answer, right, wrong = SCORERS[task]
+    items = [item("q1", fmt=fmt, answer=answer)]
+    only_right = scorer(items, [ModelOutput("q1", right)])
+    assert (only_right.task, only_right.total, only_right.missing) == (task, 1, 0)
+    assert only_right.mean > scorer(items, [ModelOutput("q1", wrong)]).mean
+    assert scorer(items, [ModelOutput("q1", wrong), ModelOutput("q1", right)]) == only_right
+    assert scorer(items, [ModelOutput("q1", right), ModelOutput("q1", wrong)]) != only_right
 
 
 def test_score_binary_hand_fixture():
