@@ -76,12 +76,19 @@ class ModelOutput:
 
 
 def load_outputs_jsonl(raw: bytes | str) -> list[ModelOutput]:
-    """Parse {"qa_id","text"} JSONL; blank lines are skipped."""
+    """Parse {"qa_id","text"} JSONL; blank lines are skipped.
+
+    Both fields must be JSON strings: a null text would otherwise be scored
+    as the word "None", and a list as its printed form.
+    """
     outputs = []
     for line_no, obj in iter_jsonl(raw):
         if "qa_id" not in obj or "text" not in obj:
             raise ParseError("expected an object with qa_id and text", line_no=line_no)
-        outputs.append(ModelOutput(qa_id=str(obj["qa_id"]), text=str(obj["text"])))
+        for name in ("qa_id", "text"):
+            if not isinstance(obj[name], str):
+                raise ParseError(f"{name} must be a string", line_no=line_no)
+        outputs.append(ModelOutput(qa_id=obj["qa_id"], text=obj["text"]))
     return outputs
 
 
@@ -489,85 +496,77 @@ class _Budget(Exception):
 def _min_chunks_exact(cand: list[str], ref: list[str], quota: dict[str, int], budget: int) -> int:
     """Minimal chunk count over all maximum one-to-one alignments.
 
-    Backtracks over which occurrences align, memoized on (candidate
-    position, used reference positions, chunk-continuation state); raises
-    _Budget when the search visits more than ``budget`` nodes, memo hits
-    and finished branches included.  The remaining quota of each word is a
-    function of the used positions, so it is kept in a list that is undone
-    on backtrack instead of being part of the memo key.
+    A continuation is a candidate position k aligned to reference position
+    j while k - 1 is aligned to j - 1; a maximum alignment with c of them
+    has m - c chunks.  The occurrences of one word form a complete
+    bipartite graph, so any partial alignment extends to a maximum one
+    without losing a continuation, and the search needs to place only runs
+    of two or more aligned words.  It walks the candidate positions,
+    continuing the current run, starting a run on a bigram match, or
+    leaving the position to the final fill; it is memoized on (position,
+    used reference positions that a later run can still touch, run
+    target) and pruned by the number of later positions whose preceding
+    bigram occurs in the reference.  Raises _Budget when the search visits
+    more than ``budget`` nodes, memo hits and finished branches included.
     """
-    ref_positions: dict[str, list[int]] = {}
-    for j, word in enumerate(ref):
-        ref_positions.setdefault(word, []).append(j)
-    n = len(cand)
-    # A node's memo key is one int: the used reference positions in the high
-    # bits, then cont_ref + 1, then the candidate position i.  cont_ref is
-    # the reference index that would continue the current chunk, or -1 when
-    # the previous candidate position was not aligned.  ``low`` is the key's
-    # (cont_ref + 1, i) part, and ``used`` is kept already shifted.
-    i_bits = n.bit_length()
-    shift = (len(ref) + 1).bit_length() + i_bits
-    # per candidate position: the word's slot in ``need`` (words outside the
-    # quota share a last slot that stays 0), how many later candidate
-    # positions hold the same word, and for each reference position j of the
-    # word: its bit in ``used``, the ``low`` that continues a chunk into j,
-    # and the next position's ``low`` after aligning to j
-    slot_of = {word: s for s, word in enumerate(quota)}
-    need = [*quota.values(), 0]
-    slots = [slot_of.get(word, len(quota)) for word in cand]
-    later = [cand[i + 1 :].count(word) for i, word in enumerate(cand)]
-    choices = [
-        tuple(
-            (1 << (shift + j), (j + 1) << i_bits | i, (j + 2) << i_bits | (i + 1))
-            for j in ref_positions.get(word, ())
-        )
-        for i, word in enumerate(cand)
-    ]
-    memo: dict[int, float] = {}
+    n, r = len(cand), len(ref)
+    # starts[k]: the j with cand[k:k+2] == ref[j:j+2]
+    starts = [[j for j in range(r - 1) if (ref[j], ref[j + 1]) == pair]
+              for pair in zip(cand, cand[1:])] + [[]]
+    # cap[k]: the positions p >= k whose preceding bigram occurs in the
+    # reference, a bound on the continuations still to be made from k;
+    # reach[k]: the reference positions that runs from k on can cover,
+    # which are the bigram matches from k on (a run's third word starts a
+    # match itself)
+    cap = [0] * (n + 2)
+    reach = [0] * (n + 2)
+    for k in range(n - 1, -1, -1):
+        cap[k] = cap[k + 1] + bool(k and starts[k - 1])
+        reach[k] = reach[k + 1]
+        for j in starts[k]:
+            reach[k] |= 3 << j
+    # a node's memo key is one int: the used positions that runs from k on
+    # can still cover, then the run target + 1, then k
+    k_bits = (n + 1).bit_length()
+    shift = (r + 1).bit_length() + k_bits
+    memo: dict[int, int] = {}
     nodes_left = budget
-    total = sum(need)
-    inf = math.inf
 
-    def solve(i: int, used: int, low: int) -> float:
-        nonlocal nodes_left, total
+    def target(k: int, used: int, j: int) -> int:
+        """j if aligning k to j continues the run, else -1."""
+        if k < n and j < r and cand[k] == ref[j] and not used >> j & 1:
+            return j
+        return -1
+
+    def solve(k: int, used: int, t: int) -> int:
+        nonlocal nodes_left
         nodes_left -= 1
         if nodes_left < 0:
             raise _Budget
-        if not total:
+        if k >= n:
             return 0
-        if i >= n:
-            return inf  # quota unmet; pruned by skip guard, defensive
-        key = used | low
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        slot = slots[i]
-        word_need = need[slot]
-        best = inf
-        nxt = i + 1
-        # skip this occurrence only if later occurrences can still fill the quota
-        if not word_need or later[i] >= word_need:
-            best = solve(nxt, used, nxt)
-        if word_need:
-            need[slot] = word_need - 1
-            total -= 1
-            for bit, here, after in choices[i]:
-                if used & bit:
-                    continue
-                sub = solve(nxt, used | bit, after)
-                if here != low:
-                    sub += 1
-                if sub < best:
-                    best = sub
-            need[slot] = word_need
-            total += 1
+        key = (used & reach[k]) << shift | (t + 1) << k_bits | k
+        best = memo.get(key)
+        if best is not None:
+            return best
+        best = -1
+        if t >= 0:
+            used_t = used | 1 << t
+            best = 1 + solve(k + 1, used_t, target(k + 1, used_t, t + 1))
+        for j in starts[k]:
+            if best >= 1 + cap[k + 2]:
+                break
+            if j == t or used >> j & 3:
+                continue  # a start at t is the continuation, made above
+            used_j = used | 3 << j
+            best = max(best, 1 + solve(k + 2, used_j, target(k + 2, used_j, j + 2)))
+        # leave k; taken when nothing else was, so every position is visited
+        if best < 0 or best < cap[k + 1]:
+            best = max(best, solve(k + 1, used, -1))
         memo[key] = best
         return best
 
-    result = solve(0, 0, 0)
-    if result is inf:
-        raise _Budget
-    return int(result)
+    return sum(quota.values()) - solve(0, 0, -1)
 
 
 def _min_chunks_greedy(cand: list[str], ref: list[str], quota: dict[str, int]) -> int:
@@ -605,9 +604,16 @@ def meteor_exact(candidate: str, reference: str) -> MeteorBreakdown:
     """Exact-unigram METEOR: fmean = 10PR/(R+9P), penalty = 0.5(chunks/m)^3.
 
     Tokens are case-folded, punctuation-stripped, whitespace-split.  The
-    alignment maximizes matches, then minimizes chunks (exhaustively up to
-    a search budget and the recursion limit, greedily past either).  No
-    stemming or synonymy: scores are not comparable to full METEOR.
+    alignment maximizes matches, then minimizes chunks: an exact search
+    places the runs that start on a shared bigram so as to maximize
+    continuations, since chunks = m - continuations.  Only highly
+    repetitive pairs pass its node budget, and outputs longer than the
+    recursion limit pass that; both are aligned greedily instead.  The
+    search that this one replaced fell back on most captions of 40 words
+    or more, so a baseline report scored with it has lower caption means,
+    and a caption relative_to_baseline figure computed against it reads
+    high.  No stemming or synonymy: scores are not comparable to full
+    METEOR.
     """
     cand = _tokenize(candidate)
     ref = _tokenize(reference)

@@ -570,6 +570,14 @@ def _bad_outputs(ws, mock_endpoint):
     return ["eval", "--items", items_path, "--outputs", str(_non_utf8(Path(outputs_path)))]
 
 
+def _outputs(content):
+    def build(ws, mock_endpoint):
+        items_path, outputs_path = eval_fixture(ws)
+        Path(outputs_path).write_bytes(content)
+        return ["eval", "--task", "mcq", "--items", items_path, "--outputs", outputs_path]
+    return build
+
+
 def _bad_ontology(ws, mock_endpoint):
     _non_utf8(ws / "ontology.json")
     return ["generate-rule", "--config", str(ws / "config.json"), "--seed", "1"]
@@ -621,6 +629,10 @@ def _ignored_flag(ws, mock_endpoint):
     (_bad_manifest, EXIT_DATA, "{ws}/manifest.jsonl: line 1: not valid UTF-8"),
     (_bad_import, EXIT_DATA, "{ws}/captions.jsonl: line 1: not valid UTF-8"),
     (_bad_outputs, EXIT_DATA, "{ws}/outputs.jsonl: line 1: not valid UTF-8"),
+    (_outputs(b'{"qa_id": "0000000000000000", "text": null}'), EXIT_DATA,
+     "{ws}/outputs.jsonl: line 1: text must be a string"),
+    (_outputs(b'{"qa_id": "0000000000000000", "text": "B"}\n{"qa_id": 1, "text": "B"}'),
+     EXIT_DATA, "{ws}/outputs.jsonl: line 2: qa_id must be a string"),
     (_bad_ontology, EXIT_DATA, "ontology.json is not valid UTF-8"),
     (_category_map(b'{"q": "gr\xffup"}'), EXIT_DATA, "groups.json is not valid UTF-8"),
     (_category_map(b'{"q": '), EXIT_DATA, "groups.json is not valid JSON"),
@@ -634,7 +646,8 @@ def _ignored_flag(ws, mock_endpoint):
     (_auth_failure, EXIT_SERVICE, "401"),
     (_bad_ratios, EXIT_USAGE, "ratios"),
     (_ignored_flag, EXIT_USAGE, "--format-filter"),
-], ids=["items", "shard", "manifest", "import", "outputs", "ontology", "category-map-utf8",
+], ids=["items", "shard", "manifest", "import", "outputs", "outputs-null-text",
+        "outputs-number-qa-id", "ontology", "category-map-utf8",
         "category-map-json", "category-map-array", "category-map-values", "baseline-tasks-array",
         "baseline-block-number", "baseline-no-mean", "baseline-total-string", "auth", "ratios",
         "ignored-flag"])

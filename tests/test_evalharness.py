@@ -127,6 +127,20 @@ def test_load_outputs_jsonl():
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("line, reason", [
+    ('{"qa_id": "q2", "text": null}', "text must be a string"),  # not the word "None"
+    ('{"qa_id": "q2", "text": ["B"]}', "text must be a string"),  # not option B
+    ('{"qa_id": "q2", "text": 1}', "text must be a string"),
+    ('{"qa_id": 2, "text": "A"}', "qa_id must be a string"),
+    ('{"qa_id": null, "text": "A"}', "qa_id must be a string"),
+])
+def test_load_outputs_jsonl_rejects_non_string_fields(line, reason):
+    with pytest.raises(ParseError) as err:
+        load_outputs_jsonl('{"qa_id": "q1", "text": "A"}\n' + line)
+    assert err.value.line_no == 2
+    assert err.value.reason == reason
+
+
 # ---------------------------------------------------------------------------
 # Scorers
 
@@ -514,17 +528,20 @@ def test_meteor_scrambled_chunks():
     assert meteor_exact("d c b a", "a b c d").chunks == 4
 
 
-# Caption pairs with repeated function words.  The first (30 and 29 tokens)
-# is solved by the exact search, with fewer chunks than the greedy aligner
-# finds; the second (63 and 58 tokens) exhausts the node budget and falls
-# back to the greedy aligner.
+# Caption pairs with repeated function words.  SOLVED_EXACTLY (30 and 29
+# tokens) needs the exact search: the greedy aligner finds more chunks.
+# LONG_SOLVED_EXACTLY (63 and 58 tokens) is solved exactly too; the search
+# over every alignment that came before the continuation search exhausted its
+# budget on it and fell back to the greedy aligner's 38 chunks.
+# EXHAUSTS_BUDGET (40 tokens each over two words) is repetitive enough that
+# the search still runs out of budget and falls back to the greedy aligner.
 SOLVED_EXACTLY = (
     "a soft piano plays the theme and the warm bass joins in as the drums play a slow "
     "beat under the sad voice of the singer in a small room",
     "the drums play a slow beat and a soft piano plays the theme as the warm bass joins "
     "in under the voice of a sad singer in the room",
 )
-FALLS_BACK = (
+LONG_SOLVED_EXACTLY = (
     "this is a live recording of a rock band with a loud electric guitar and a heavy bass "
     "and the drums play a fast beat while the singer shouts over the noise of the crowd and "
     "the guitar takes a long solo at the end of the song and the crowd cheers for the band "
@@ -534,6 +551,8 @@ FALLS_BACK = (
     "guitar plays a solo at the end of this recording as the crowd cheers on the band and "
     "the stage lights go down",
 )
+_AB = random.Random(0)
+EXHAUSTS_BUDGET = tuple(" ".join(_AB.choice("ab") for _ in range(40)) for _ in range(2))
 
 
 def chunk_problem(candidate, reference):
@@ -549,18 +568,21 @@ def test_meteor_pinned_breakdowns():
         chunks=12, penalty=0.035425806716142524, score=0.9612595053344285,
     )
     assert evalharness._min_chunks_greedy(*chunk_problem(*SOLVED_EXACTLY)) == 16
-    assert meteor_exact(*FALLS_BACK) == MeteorBreakdown(
+    assert meteor_exact(*LONG_SOLVED_EXACTLY) == MeteorBreakdown(
         m=52, precision=0.8253968253968254, recall=0.896551724137931,
-        fmean=0.8888888888888888, chunks=38, penalty=0.19512403277196172,
-        score=0.7154453042027007,
+        fmean=0.8888888888888888, chunks=32, penalty=0.11652253072371417,
+        score=0.7853133060233651,
     )
+    assert evalharness._min_chunks_greedy(*chunk_problem(*LONG_SOLVED_EXACTLY)) == 38
+    problem = chunk_problem(*EXHAUSTS_BUDGET)
     with pytest.raises(evalharness._Budget):
-        evalharness._min_chunks_exact(
-            *chunk_problem(*FALLS_BACK), evalharness._CHUNK_SEARCH_BUDGET
-        )
+        evalharness._min_chunks_exact(*problem, evalharness._CHUNK_SEARCH_BUDGET)
+    assert meteor_exact(*EXHAUSTS_BUDGET).chunks == evalharness._min_chunks_greedy(*problem) == 23
 
 
-@pytest.mark.parametrize("pair, nodes", [(("a b", "a x a b"), 5), (SOLVED_EXACTLY, 1514)])
+@pytest.mark.parametrize("pair, nodes", [
+    (("a b", "a x a b"), 2), (SOLVED_EXACTLY, 48), (LONG_SOLVED_EXACTLY, 524),
+])
 def test_meteor_budget_counts_every_node(pair, nodes):
     # the budget counts every visited node, memo hits and finished branches
     # included; a search that needs `nodes` nodes fails with one fewer
@@ -570,9 +592,9 @@ def test_meteor_budget_counts_every_node(pair, nodes):
         evalharness._min_chunks_exact(cand, ref, quota, nodes - 1)
 
 
-@pytest.mark.parametrize("pair", [("a b", "a x a b"), SOLVED_EXACTLY, FALLS_BACK])
+@pytest.mark.parametrize("pair", [("a b", "a x a b"), SOLVED_EXACTLY, LONG_SOLVED_EXACTLY])
 def test_meteor_small_budget_falls_back_to_greedy(monkeypatch, pair):
-    monkeypatch.setattr(evalharness, "_CHUNK_SEARCH_BUDGET", 4)
+    monkeypatch.setattr(evalharness, "_CHUNK_SEARCH_BUDGET", 1)
     assert meteor_exact(*pair).chunks == evalharness._min_chunks_greedy(*chunk_problem(*pair))
 
 
@@ -641,6 +663,89 @@ def oracle_min_chunks(cand, ref):
 def test_meteor_chunks_match_bruteforce(cand_words, ref_words):
     breakdown = meteor_exact(" ".join(cand_words), " ".join(ref_words))
     assert breakdown.chunks == oracle_min_chunks(cand_words, ref_words)
+
+
+def reference_min_chunks(cand, ref, quota, budget):
+    """Fewest chunks by a search over which occurrence each word aligns to.
+
+    The exact search of ``meteor_exact`` before the continuation search,
+    kept as a reference: it backtracks over every maximum alignment,
+    memoized on (candidate position, used reference positions, run
+    target), and raises _Budget past ``budget`` nodes.
+    """
+    ref_positions = {}
+    for j, word in enumerate(ref):
+        ref_positions.setdefault(word, []).append(j)
+    n = len(cand)
+    # memo key: used reference positions (kept shifted), then cont_ref + 1, then i
+    i_bits = n.bit_length()
+    shift = (len(ref) + 1).bit_length() + i_bits
+    slot_of = {word: s for s, word in enumerate(quota)}
+    need = [*quota.values(), 0]
+    slots = [slot_of.get(word, len(quota)) for word in cand]
+    later = [cand[i + 1:].count(word) for i, word in enumerate(cand)]
+    choices = [
+        tuple(
+            (1 << (shift + j), (j + 1) << i_bits | i, (j + 2) << i_bits | (i + 1))
+            for j in ref_positions.get(word, ())
+        )
+        for i, word in enumerate(cand)
+    ]
+    memo = {}
+    nodes_left = budget
+    total = sum(need)
+
+    def solve(i, used, low):
+        nonlocal nodes_left, total
+        nodes_left -= 1
+        if nodes_left < 0:
+            raise evalharness._Budget
+        if not total:
+            return 0
+        if i >= n:
+            return math.inf
+        key = used | low
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        slot = slots[i]
+        word_need = need[slot]
+        best = math.inf
+        nxt = i + 1
+        # skip this occurrence only if later occurrences can still fill the quota
+        if not word_need or later[i] >= word_need:
+            best = solve(nxt, used, nxt)
+        if word_need:
+            need[slot] = word_need - 1
+            total -= 1
+            for bit, here, after in choices[i]:
+                if not used & bit:
+                    best = min(best, solve(nxt, used | bit, after) + (here != low))
+            need[slot] = word_need
+            total += 1
+        memo[key] = best
+        return best
+
+    return solve(0, 0, 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_meteor_chunks_match_reference_search(seed):
+    # random pairs of 5-24 tokens over 2-8 words, wherever the reference
+    # search finishes within 300k nodes
+    rng = random.Random(seed)
+    compared = 0
+    for _ in range(40):
+        words = [f"w{k}" for k in range(rng.randint(2, 8))]
+        pair = [" ".join(rng.choices(words, k=rng.randint(5, 24))) for _ in range(2)]
+        problem = chunk_problem(*pair)
+        try:
+            expected = reference_min_chunks(*problem, 300_000)
+        except evalharness._Budget:
+            continue
+        assert evalharness._min_chunks_exact(*problem, evalharness._CHUNK_SEARCH_BUDGET) == expected, pair
+        compared += 1
+    assert compared >= 25
 
 
 @settings(max_examples=60, deadline=None)
