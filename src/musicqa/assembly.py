@@ -27,8 +27,14 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .corpus import Source, atomic_writer, iter_jsonl, parse_source
 from .errors import DataError, MusicQaError, ParseError
-from .llmgen import content_qa_id, normalize_binary_answer, validate_qa_item
-from .rulegen import Method, QAFormat, QAItem
+from .items import (
+    Method,
+    QAFormat,
+    QAItem,
+    content_qa_id,
+    normalize_binary_answer,
+    validate_qa_item,
+)
 
 CAPTION_INSTRUCTION = "Describe the music in detail."
 

@@ -18,6 +18,7 @@ import sys
 import time
 from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
+from importlib import import_module
 from pathlib import Path
 
 from .assembly import (
@@ -42,37 +43,55 @@ from .corpus import (
     parse_source,
 )
 from .errors import DataError, MusicQaError, ParseError, ServiceError
-from .evalharness import (
-    EmbedderConfig,
-    EvalReport,
-    HttpEmbedder,
-    TaskScores,
-    TrigramEmbedder,
-    UnknownQaIdError,
-    aggregate_report,
-    load_outputs_jsonl,
-    score_binary,
-    score_captions,
-    score_label_match,
-    score_mcq,
-)
-from .llmgen import (
-    LlmClient,
-    LlmEndpointConfig,
-    default_examples,
-    default_requested,
-    generate_llm_dataset,
-    load_examples,
-    validate_qa_item,
-)
-from .ontology import UnknownLabelError, parse_ontology
-from .rulegen import (
-    FormatPlan,
-    QAFormat,
-    default_templates,
-    generate_rule_dataset,
-    load_templates,
-)
+from .items import QAFormat, validate_qa_item
+
+# Names from the modules that only some commands run, each with the module
+# that defines it.  A command binds the names it needs as globals of this
+# module through _bind, and calls them as globals.  A name already bound
+# stays as it is, so a wrapper set with setattr before the command runs
+# (perfbench/tracecli.py traces calls this way) is the one called.
+_LAZY = {
+    "UnknownLabelError": "ontology",
+    "parse_ontology": "ontology",
+    "FormatPlan": "rulegen",
+    "default_templates": "rulegen",
+    "generate_rule_dataset": "rulegen",
+    "load_templates": "rulegen",
+    "LlmClient": "llmgen",
+    "LlmEndpointConfig": "llmgen",
+    "default_examples": "llmgen",
+    "default_requested": "llmgen",
+    "generate_llm_dataset": "llmgen",
+    "load_examples": "llmgen",
+    "EmbedderConfig": "evalharness",
+    "EvalReport": "evalharness",
+    "HttpEmbedder": "evalharness",
+    "TaskScores": "evalharness",
+    "TrigramEmbedder": "evalharness",
+    "UnknownQaIdError": "evalharness",
+    "aggregate_report": "evalharness",
+    "load_outputs_jsonl": "evalharness",
+    "score_binary": "evalharness",
+    "score_captions": "evalharness",
+    "score_label_match": "evalharness",
+    "score_mcq": "evalharness",
+}
+
+
+def _bind(*modules: str) -> None:
+    """Bind every name of _LAZY that ``modules`` define and that is not bound yet."""
+    scope = globals()
+    for name, module in _LAZY.items():
+        if module in modules and name not in scope:
+            scope[name] = getattr(import_module(f".{module}", __package__), name)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_LAZY[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = MusicQaError.exit_code
@@ -137,6 +156,16 @@ class PipelineConfig:
             raise ConfigError(
                 f"config key 'mcq_options' must be an integer from 2 to 26, got {cfg.mcq_options!r}"
             )
+        # null leaves the seed to --seed
+        if cfg.seed is not None and type(cfg.seed) is not int:
+            raise ConfigError(f"config key 'seed' must be an integer, got {cfg.seed!r}")
+        for key in ("workers", "shard_size"):
+            value = getattr(cfg, key)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"config key {key!r} must be a positive integer, got {value!r}")
+        split = cfg.split
+        if not (isinstance(split, list) and len(split) == 3 and all(map(_is_number, split))):
+            raise ConfigError(f"config key 'split' must be a list of 3 numbers, got {split!r}")
         return cfg
 
     def apply_flags(self, args: argparse.Namespace) -> None:
@@ -193,7 +222,7 @@ def _read_json_object(path: str, what: str) -> dict:
 def _require_seed(cfg: PipelineConfig) -> int:
     if cfg.seed is None:
         raise ConfigError("a seed is required: pass --seed or set \"seed\" in the config")
-    return int(cfg.seed)
+    return cfg.seed
 
 
 def _resolve_music_root(ontology, name_or_id: str) -> str:
@@ -259,6 +288,7 @@ def _apply_item_filters(items, args: argparse.Namespace):
 
 
 def cmd_generate_rule(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    _bind("ontology", "rulegen")
     seed = _require_seed(cfg)
     if not cfg.ontology:
         raise ConfigError("generate-rule needs an ontology path in the config")
@@ -287,7 +317,7 @@ def cmd_generate_rule(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         seed,
         music_root=music_root,
         k_options=cfg.mcq_options,
-        workers=max(1, int(cfg.workers)),
+        workers=max(1, cfg.workers),
     )
     elapsed = time.perf_counter() - started
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "rule_items.jsonl"
@@ -307,6 +337,7 @@ def cmd_generate_rule(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_generate_llm(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    _bind("llmgen")
     llm = dict(cfg.llm)
     base_url = llm.pop("base_url", None)
     model = llm.pop("model", None)
@@ -362,14 +393,12 @@ def cmd_assemble(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     _progress(f"assemble: {before} items in, {len(items)} after dedup")
     items = _apply_item_filters(items, args)
     ratios = tuple(float(r) for r in cfg.split)
-    if len(ratios) != 3:
-        raise ConfigError(f"split must have 3 ratios, got {cfg.split!r}")
     assignment = split_by_audio(items, ratios, seed)
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     split_counts = {}
     for split in Split:
         split_items = assignment.items_for(items, split)
-        write_shards(split_items, int(cfg.shard_size), out_dir / split.value)
+        write_shards(split_items, cfg.shard_size, out_dir / split.value)
         split_counts[split.value] = len(split_items)
     stats = compute_stats(items)
     _write_json(out_dir / "stats.json", stats.to_dict())
@@ -425,6 +454,7 @@ def _baseline_report(path: str) -> EvalReport:
 
 
 def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    _bind("evalharness")
     items = []
     for path in args.items:
         items.extend(_read_items_any(path))

@@ -19,19 +19,18 @@ atomic_writer.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DataError, ParseError
-from .ontology import Ontology, leaf_labels
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .ontology import Ontology
 
 
 @contextmanager
@@ -206,6 +205,8 @@ def filter_music_clips(
     Labels unknown to the ontology never satisfy the leaf test; they are
     logged once per run and otherwise ignored.
     """
+    from .ontology import leaf_labels
+
     music_leaves = leaf_labels(o, music_root)
     kept = []
     unknown: set[str] = set()
@@ -214,7 +215,9 @@ def filter_music_clips(
         if clip.labels & music_leaves:
             kept.append(clip)
     if unknown:
-        log.warning(
+        import logging
+
+        logging.getLogger(__name__).warning(
             "ignored %d label ids not present in the ontology: %s",
             len(unknown),
             ", ".join(sorted(unknown)[:10]),
@@ -226,6 +229,8 @@ def compute_label_frequencies(
     clips: list[ClipRecord], o: Ontology, music_root: str
 ) -> LabelFrequencyTable:
     """Count, per music leaf label, the clips that carry it."""
+    from .ontology import leaf_labels
+
     music_leaves = leaf_labels(o, music_root)
     counts: dict[str, int] = {}
     for clip in clips:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Optional, Protocol, Sequence
 from .corpus import iter_jsonl
 from .errors import DataError, MusicQaError, ParseError, ServiceError
 from .jsonpost import JsonPoster, json_headers
-from .rulegen import QAFormat, QAItem
+from .items import QAFormat, QAItem
 
 __all__ = [
     "ModelOutput",
@@ -110,7 +110,9 @@ def extract_mcq_answer(text: str, options: Sequence[str]) -> Optional[int]:
     """
     if not options:
         raise ValueError("options must be non-empty")
-    for match in _STANDALONE_LETTER.finditer(text):
+    # searched in upper case, so that a letter whose upper case spells ASCII
+    # letters ("ß" is "SS") counts the same in either case: "Aß" holds no "A"
+    for match in _STANDALONE_LETTER.finditer(text.upper()):
         index = ord(match.group(1).upper()) - ord("A")
         if 0 <= index < len(options):
             return index
@@ -127,7 +129,7 @@ def extract_mcq_answer(text: str, options: Sequence[str]) -> Optional[int]:
 
 def extract_binary_answer(text: str) -> Optional[str]:
     """First standalone yes/no token, canonicalized; None if absent."""
-    match = _STANDALONE_YESNO.search(text)
+    match = _STANDALONE_YESNO.search(text.upper())  # upper case as in extract_mcq_answer
     if match is None:
         return None
     return "Yes" if match.group(1).casefold() == "yes" else "No"

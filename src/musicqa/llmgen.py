@@ -31,7 +31,14 @@ from typing import Callable, Optional, Sequence
 from .corpus import ClipRecord, atomic_writer
 from .errors import MusicQaError, ParseError, ServiceError
 from .jsonpost import JsonPoster, json_headers
-from .rulegen import Method, QAFormat, QAItem
+from .items import (
+    Method,
+    QAFormat,
+    QAItem,
+    content_qa_id,
+    normalize_binary_answer,
+    validate_qa_item,
+)
 
 log = logging.getLogger(__name__)
 
@@ -392,86 +399,6 @@ _FORMAT_ALIASES = {
     "multiple_choice": QAFormat.MCQ,
     "multiple choice": QAFormat.MCQ,
 }
-
-
-def normalize_binary_answer(raw: str) -> Optional[str]:
-    """"yes."/"NO!" style strings to canonical "Yes"/"No"; None if neither."""
-    token = str(raw).strip().strip(".,!;:").casefold()
-    if token == "yes":
-        return "Yes"
-    if token == "no":
-        return "No"
-    return None
-
-
-def _mcq_stem(question: str, options: Sequence[str]) -> str:
-    """Question text with the rendered lettered-options block removed."""
-    if options:
-        suffix = " ".join(f"{chr(65 + i)}. {opt}" for i, opt in enumerate(options))
-        if question.endswith(suffix):
-            return question[: -len(suffix)].rstrip()
-    return question
-
-
-def validate_qa_item(item: QAItem) -> list[str]:
-    """All invariant violations for one item; empty means valid.
-
-    Binary answers are accepted in any form normalize_binary_answer
-    understands.  MCQ question stems may end with ':' (lead-in to the
-    lettered options) as well as '?'.
-    """
-    violations: list[str] = []
-    if not item.qa_id:
-        violations.append("empty qa_id")
-    if not item.audio_id:
-        violations.append("empty audio_id")
-    question = item.question.strip() if isinstance(item.question, str) else ""
-    if not question:
-        violations.append("empty question")
-    if not isinstance(item.answer, str) or not item.answer.strip():
-        violations.append("empty answer")
-    fmt = item.format
-    if fmt == QAFormat.MCQ:
-        options = item.options
-        if len(options) < 2:
-            violations.append("MCQ needs at least 2 options")
-        if len(set(options)) != len(options):
-            violations.append("duplicate options")
-        if item.answer_index is None:
-            violations.append("MCQ answer_index missing")
-        elif not 0 <= item.answer_index < len(options):
-            violations.append("answer_index out of range")
-        elif options[item.answer_index] != item.answer:
-            violations.append("answer not at answer_index")
-        if item.answer not in options:
-            violations.append("answer not in options")
-        if question:
-            stem = _mcq_stem(question, options)
-            if not (stem.endswith("?") or stem.endswith(":")):
-                violations.append("MCQ question stem must end with '?' or ':'")
-    else:
-        if item.options:
-            violations.append(f"{fmt.value} item must not carry options")
-        if item.answer_index is not None:
-            violations.append(f"{fmt.value} item must not carry answer_index")
-        if fmt in (QAFormat.OPEN, QAFormat.BINARY) and question and not question.endswith("?"):
-            violations.append("question must end with '?'")
-        if fmt == QAFormat.BINARY and normalize_binary_answer(item.answer) is None:
-            violations.append("binary answer must normalize to Yes/No")
-    return violations
-
-
-def content_qa_id(*parts: str) -> str:
-    """Id hashed from length-prefixed parts, for LLM and imported items.
-
-    The same cached response, or the same imported line, maps to the same id.
-    """
-    h = blake2b(digest_size=8)
-    for part in parts:
-        data = part.encode("utf-8")
-        h.update(len(data).to_bytes(4, "big"))
-        h.update(data)
-    return h.hexdigest()
 
 
 def _first_json_array(raw: str) -> Optional[list]:

@@ -25,15 +25,15 @@ import multiprocessing
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from enum import Enum
 from hashlib import blake2b
 from importlib import resources
 from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
-from .corpus import ClipRecord, LabelFrequencyTable, Source
+from .corpus import ClipRecord, LabelFrequencyTable
 from .errors import MusicQaError, ParseError
+from .items import Method, QAFormat, QAItem
 from .ontology import Ontology, OntologyNode, leaf_labels, parent_categories
 
 _MASK64 = (1 << 64) - 1
@@ -51,19 +51,6 @@ class EmptyPoolError(InsufficientPoolError):
     """A distractor pool had no eligible candidate with positive weight."""
 
 
-class QAFormat(str, Enum):
-    OPEN = "open"
-    BINARY = "binary"
-    MCQ = "mcq"
-    CAPTION = "caption"
-
-
-class Method(str, Enum):
-    RULE = "rule"
-    LLM = "llm"
-    IMPORTED = "imported"
-
-
 @dataclass(frozen=True)
 class QuestionTemplate:
     """Parameterized question text.
@@ -77,38 +64,6 @@ class QuestionTemplate:
     format: QAFormat
     category: str
     text: str
-
-
-@dataclass(slots=True)
-class QAItem:
-    """One generated QA instance; treat as immutable once emitted."""
-
-    qa_id: str
-    audio_id: str
-    source: Source
-    format: QAFormat
-    question: str
-    options: tuple[str, ...]
-    answer: str
-    answer_index: Optional[int]
-    category: str
-    method: Method
-    template_id: Optional[str]
-    seed: int
-
-    def __reduce__(self):
-        # Pickled as its field tuple: a worker pool sends every item to the
-        # parent, and the default for a slotted dataclass (a dict of slot
-        # values per item, set one by one on load) costs about twice as much.
-        # The enum members repeat, so pickle's memo writes each once per dump.
-        return (
-            QAItem,
-            (
-                self.qa_id, self.audio_id, self.source, self.format, self.question,
-                self.options, self.answer, self.answer_index, self.category,
-                self.method, self.template_id, self.seed,
-            ),
-        )
 
 
 class PoolCandidate(NamedTuple):

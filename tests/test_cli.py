@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -11,7 +12,13 @@ from pathlib import Path
 import pytest
 from conftest import FIXTURE_NODES, MockEndpoint
 
-from musicqa.assembly import read_items_jsonl, read_shards, write_items_jsonl, write_shards
+from musicqa.assembly import (
+    import_external,
+    read_items_jsonl,
+    read_shards,
+    write_items_jsonl,
+    write_shards,
+)
 from musicqa.cli import EXIT_DATA, EXIT_OK, EXIT_SERVICE, EXIT_USAGE, main
 from musicqa.corpus import Source
 from musicqa.llmgen import validate_qa_item
@@ -77,6 +84,52 @@ def test_cli_import_leaves_requests_unloaded():
     # the HTTP stack is imported only when a request is about to go out
     code = "import sys, musicqa.cli; print([m in sys.modules for m in ('requests', 'http.client')])"
     assert _run_python(code) == "[False, False]"
+
+
+def test_package_import_loads_none_of_its_modules():
+    code = "import sys, musicqa; print(sorted(m for m in sys.modules if m.startswith('musicqa')))"
+    assert _run_python(code) == "['musicqa']"
+
+
+# what a command imports: the musicqa modules, and which of the heavier
+# standard-library modules that only some commands need
+_LOADED = (
+    "import json, sys; from musicqa.cli import main; rc = main({argv!r}); "
+    "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('musicqa')), "
+    "[m for m in ('multiprocessing', 'logging', 'concurrent.futures') if m in sys.modules]]))"
+)
+_BASE = ["musicqa", "musicqa.assembly", "musicqa.cli", "musicqa.corpus", "musicqa.errors",
+         "musicqa.items"]
+
+
+def _command_argv(ws, mock_endpoint, command):
+    cfg = str(ws / "config.json")
+    if command == "--help":
+        return ["--help"]
+    if command == "validate":
+        return ["validate", eval_fixture(ws)[0]]
+    if command == "eval":
+        items_path, outputs_path = eval_fixture(ws)
+        return ["eval", "--items", items_path, "--outputs", outputs_path]
+    if command == "generate-rule":
+        return ["generate-rule", "--config", cfg, "--seed", "7"]
+    mock_endpoint.script((200, MockEndpoint.chat_body(LLM_ARRAY)))
+    return ["generate-llm", "--config", llm_config(ws, mock_endpoint.url)]
+
+
+@pytest.mark.parametrize("command, modules, stdlib", [
+    ("--help", [], []),
+    ("validate", [], []),
+    ("eval", ["musicqa.evalharness", "musicqa.jsonpost"], []),
+    ("generate-rule", ["musicqa.ontology", "musicqa.rulegen"], ["multiprocessing"]),
+    ("generate-llm", ["musicqa.jsonpost", "musicqa.llmgen"], ["logging", "concurrent.futures"]),
+])
+def test_each_command_imports_only_what_it_runs(ws, mock_endpoint, command, modules, stdlib):
+    code = _LOADED.format(argv=_command_argv(ws, mock_endpoint, command))
+    rc, loaded, heavy = json.loads(_run_python(code))
+    assert rc == EXIT_OK
+    assert loaded == sorted(_BASE + modules)
+    assert heavy == stdlib
 
 
 def test_help_exits_zero(capsys):
@@ -176,6 +229,19 @@ def test_generate_rule_unknown_music_root(ws, capsys):
     ("plan", {"open": "2"}),
     ("plan", {"open": True}),
     ("plan", {"open": 1.9}),
+    ("seed", 7.9),
+    ("seed", True),
+    ("seed", "7"),
+    ("workers", "2"),
+    ("workers", 0),
+    ("workers", True),
+    ("shard_size", "10"),
+    ("shard_size", 2.5),
+    ("shard_size", 0),
+    ("split", ["0.8", 0.1, 0.1]),
+    ("split", [0.8, 0.2]),
+    ("split", [True, 0, 0]),
+    ("split", "0.8,0.1,0.1"),
 ])
 def test_config_value_of_wrong_type_is_usage_error(ws, capsys, key, value):
     config = json.loads((ws / "config.json").read_text())
@@ -695,6 +761,9 @@ def test_error_classes_keep_their_exit_codes(monkeypatch, capsys):
     from musicqa import cli
     from musicqa.errors import MusicQaError
 
+    # the cli imports some of these modules only for the commands that use them
+    for name in PINNED_EXIT_CODES:
+        importlib.import_module(name.rpartition(".")[0])
     classes, pending = {}, [MusicQaError]
     while pending:
         cls = pending.pop()
@@ -733,16 +802,41 @@ def test_subcommands_register_only_the_flags_they_read():
     }
 
 
-def test_tracer_contract_with_cli(tmp_path):
+def _traced_validate(ws, capsys):
+    write_shards(read_items_jsonl(_generate(ws, capsys)), 10, ws / "shards")
+    return ["validate", str(ws / "shards")]
+
+
+def _traced_eval(ws, capsys):
+    items = read_items_jsonl(_generate(ws, capsys))
+    caption = json.dumps({"audio_id": "mc-1", "caption": "A solo cello."})
+    items += import_external(caption, "MusicCaps")
+    write_items_jsonl(items, ws / "items.jsonl")
+    (ws / "outputs.jsonl").write_text(
+        "\n".join(json.dumps({"qa_id": item.qa_id, "text": item.answer}) for item in items)
+    )
+    return ["eval", "--items", str(ws / "items.jsonl"), "--outputs", str(ws / "outputs.jsonl")]
+
+
+@pytest.mark.parametrize("build, spans", [
+    (lambda ws, capsys: ["--help"], set()),
+    (_traced_validate, {"assembly.read_shards", "llmgen.validate_qa_item"}),
+    (_traced_eval, {"assembly.read_items_jsonl", "evalharness.load_outputs_jsonl",
+                    "evalharness.score_mcq", "evalharness.score_binary",
+                    "evalharness.score_label_match", "evalharness.score_captions"}),
+], ids=["help", "validate", "eval"])
+def test_tracer_contract_with_cli(ws, capsys, build, spans):
     # perfbench/tracecli.py rebinds functions on the cli module by name and
-    # fails if one is missing; --help runs that step and exits 0
+    # fails if one is missing; a command must then call the rebound ones, or
+    # its spans go missing
+    argv = build(ws, capsys)
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     result = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracecli.py"), str(tmp_path / "spans.json"),
-         "--help"],
+        [sys.executable, str(root / "perfbench" / "tracecli.py"), str(ws / "spans.json"), *argv],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "spans.json").is_file()
+    names = {span[0] for span in json.loads((ws / "spans.json").read_text())["spans"]}
+    assert spans <= names
