@@ -251,11 +251,16 @@ def _load_clips(cfg: PipelineConfig, args: argparse.Namespace):
                 )
             seen.add(key)
             clips.append(clip)
+    return _keep_sources(clips, args)
+
+
+def _keep_sources(records: list, args: argparse.Namespace) -> list:
+    """The clips or items from the sources that --source-filter names; all without it."""
     source_filter = getattr(args, "source_filter", None)
-    if source_filter:
-        wanted = {parse_source(s) for s in source_filter}
-        clips = [clip for clip in clips if clip.source in wanted]
-    return clips
+    if not source_filter:
+        return records
+    wanted = {parse_source(s) for s in source_filter}
+    return [record for record in records if record.source in wanted]
 
 
 def _format_filter_set(args: argparse.Namespace) -> set[QAFormat] | None:
@@ -265,22 +270,28 @@ def _format_filter_set(args: argparse.Namespace) -> set[QAFormat] | None:
     return {QAFormat(value) for value in raw}
 
 
-def _read_items_any(path: str) -> list:
-    with _reading(path):
-        if Path(path).is_dir():
-            return read_shards(path)
-        return read_items_jsonl(path)
+def _read_items(paths) -> list:
+    """The items of each QAItem JSONL file or shard directory in ``paths``, in order."""
+    items = []
+    for path in paths:
+        with _reading(path):
+            items.extend(read_shards(path) if Path(path).is_dir() else read_items_jsonl(path))
+    return items
 
 
 def _apply_item_filters(items, args: argparse.Namespace):
     keep_formats = _format_filter_set(args)
     if keep_formats is not None:
         items = filter_formats(items, keep_formats)
-    source_filter = getattr(args, "source_filter", None)
-    if source_filter:
-        wanted = {parse_source(s) for s in source_filter}
-        items = [item for item in items if item.source in wanted]
-    return items
+    return _keep_sources(items, args)
+
+
+def _emit_json(doc: dict, out: str | None) -> None:
+    """Write ``doc`` to the file ``out``, or print it to stdout without one."""
+    if out:
+        _write_json(out, doc)
+    else:
+        print(json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +310,21 @@ def cmd_generate_rule(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     _progress(f"generate-rule: {len(kept)}/{len(clips)} clips carry a music leaf label")
     freqs = compute_label_frequencies(kept, ontology, music_root)
     templates = load_templates(_read_text(cfg.templates)) if cfg.templates else default_templates()
-    plan = FormatPlan.from_dict(cfg.plan)
+    plan = cfg.plan
     keep_formats = _format_filter_set(args)
     if keep_formats is not None:
-        plan = FormatPlan(
-            open=plan.open if QAFormat.OPEN in keep_formats else 0,
-            binary=plan.binary if QAFormat.BINARY in keep_formats else 0,
-            mcq=plan.mcq if QAFormat.MCQ in keep_formats else 0,
-        )
+        plan = {fmt: count for fmt, count in plan.items() if QAFormat(fmt) in keep_formats}
     started = time.perf_counter()
     items, report = generate_rule_dataset(
         kept,
         ontology,
         freqs,
         templates,
-        plan,
+        FormatPlan.from_dict(plan),
         seed,
         music_root=music_root,
         k_options=cfg.mcq_options,
-        workers=max(1, cfg.workers),
+        workers=cfg.workers,
     )
     elapsed = time.perf_counter() - started
     out = Path(args.out) if args.out else Path(cfg.out_dir) / "rule_items.jsonl"
@@ -339,16 +346,13 @@ def cmd_generate_rule(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_generate_llm(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     _bind("llmgen")
     llm = dict(cfg.llm)
-    base_url = llm.pop("base_url", None)
-    model = llm.pop("model", None)
-    if not base_url or not model:
+    _check_positive("llm", llm, "per_pair")
+    per_pair = llm.pop("per_pair", 1)
+    _check_section("llm", llm, LlmEndpointConfig)
+    _check_positive("llm", llm, "concurrency")
+    if not llm.get("base_url") or not llm.get("model"):
         raise ConfigError("generate-llm needs llm.base_url and llm.model in the config")
-    per_pair = int(llm.pop("per_pair", 1))
-    allowed = {f.name for f in fields(LlmEndpointConfig)} - {"base_url", "model"}
-    unknown = set(llm) - allowed
-    if unknown:
-        raise ConfigError(f"unknown llm config keys: {sorted(unknown)}")
-    endpoint = LlmEndpointConfig(base_url=base_url, model=model, **llm)
+    endpoint = LlmEndpointConfig(**llm)
     cache_dir = cfg.cache_dir or str(Path(cfg.out_dir) / "llm_cache")
     client = LlmClient(endpoint, cache_dir=cache_dir)
     clips = _load_clips(cfg, args)
@@ -379,9 +383,7 @@ def cmd_generate_llm(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 def cmd_assemble(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     seed = _require_seed(cfg)
-    items = []
-    for path in args.inputs:
-        items.extend(_read_items_any(path))
+    items = _read_items(args.inputs)
     for spec in args.imports or []:
         source, _, path = spec.partition("=")
         if not path:
@@ -418,22 +420,42 @@ def cmd_assemble(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_stats(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    items = []
-    for path in args.inputs:
-        items.extend(_read_items_any(path))
-    items = _apply_item_filters(items, args)
+    items = _apply_item_filters(_read_items(args.inputs), args)
     stats = compute_stats(items)
-    doc = stats.to_dict()
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True))
+    _emit_json(stats.to_dict(), args.out)
     _summary("stats", items=len(items), total=stats.grand_total, out=args.out)
     return EXIT_OK
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# what each annotated field type of a settings class accepts, and how to say so
+_FIELD_KINDS = {
+    "str": (lambda value: type(value) is str, "a string"),
+    "int": (lambda value: type(value) is int, "an integer"),
+    "float": (_is_number, "a finite number"),
+}
+
+
+def _check_section(name: str, section: dict, settings_cls) -> None:
+    """Each key of config section ``name`` must be a field of ``settings_cls`` and hold its type."""
+    kinds = {f.name: _FIELD_KINDS[f.type] for f in fields(settings_cls)}
+    unknown = set(section) - set(kinds)
+    if unknown:
+        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    for key, value in section.items():
+        accepts, kind = kinds[key]
+        if not accepts(value):
+            raise ConfigError(f"config key {name!r}: {key!r} must be {kind}, got {value!r}")
+
+
+def _check_positive(name: str, section: dict, key: str) -> None:
+    """``key`` of config section ``name``, when set, must be an integer of at least 1."""
+    value = section.get(key, 1)
+    if type(value) is not int or value < 1:
+        raise ConfigError(f"config key {name!r}: {key!r} must be a positive integer, got {value!r}")
 
 
 def _baseline_report(path: str) -> EvalReport:
@@ -455,10 +477,9 @@ def _baseline_report(path: str) -> EvalReport:
 
 def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     _bind("evalharness")
-    items = []
-    for path in args.items:
-        items.extend(_read_items_any(path))
-    items = _apply_item_filters(items, args)
+    _check_section("embedder", cfg.embedder, EmbedderConfig)
+    _check_positive("embedder", cfg.embedder, "batch_size")
+    items = _apply_item_filters(_read_items(args.items), args)
     with _reading(args.outputs):
         outputs = load_outputs_jsonl(Path(args.outputs).read_bytes())
     by_id = {item.qa_id: item for item in items}
@@ -483,10 +504,7 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         fragments.append(score_binary(items_for[QAFormat.BINARY], outputs_for[QAFormat.BINARY]))
     if "label-match" in wanted and items_for[QAFormat.OPEN]:
         if cfg.embedder.get("url"):
-            allowed = {f.name for f in fields(EmbedderConfig)}
-            embedder = closing(HttpEmbedder(
-                EmbedderConfig(**{k: v for k, v in cfg.embedder.items() if k in allowed})
-            ))
+            embedder = closing(HttpEmbedder(EmbedderConfig(**cfg.embedder)))
         else:
             embedder = nullcontext(TrigramEmbedder())
         with embedder as embed:
@@ -496,11 +514,7 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
     baseline = _baseline_report(args.baseline) if args.baseline else None
     report = aggregate_report(fragments, baseline)
-    doc = report.to_dict()
-    if args.out:
-        _write_json(args.out, doc)
-    else:
-        print(json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True))
+    _emit_json(report.to_dict(), args.out)
     _summary(
         "eval",
         tasks={name: round(scores.mean, 6) for name, scores in sorted(report.tasks.items())},
@@ -511,9 +525,7 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_validate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    items = []
-    for path in args.inputs:
-        items.extend(_read_items_any(path))
+    items = _read_items(args.inputs)
     violations: list[dict] = []
     seen_ids: set[str] = set()
     for item in items:
@@ -538,10 +550,21 @@ def cmd_validate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 # Parser
 
 
+def _positive_int(text: str) -> int:
+    """The --workers value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 _SHARED_FLAGS = {
     "--config": {"help": "JSON config file"},
     "--seed": {"type": int, "help": "global seed (overrides config)"},
-    "--workers": {"type": int, "help": "worker processes (overrides config)"},
+    "--workers": {"type": _positive_int, "help": "worker processes (overrides config)"},
     "--out": {"help": "output file or directory"},
     "--format-filter": {
         "action": "append",

@@ -328,8 +328,9 @@ class EmbedderConfig:
 class HttpEmbedder:
     """Client for a POST {"texts": [...]} -> {"embeddings": [[...]]} service.
 
-    Embeddings are cached per instance, so repeated label lookups within a
-    run hit the network once.  A vector with a NaN or infinite component is
+    Texts go out as given, in order, ``batch_size`` to a request: nothing is
+    cached or deduplicated, so a caller passes each distinct text once, as
+    label matching does.  A vector with a NaN or infinite component is
     rejected: it would make every similarity NaN.  Requests share the
     package's keep-alive ``JsonPoster``; ``close`` ends its connections.
     """
@@ -337,7 +338,6 @@ class HttpEmbedder:
     def __init__(self, config: EmbedderConfig):
         self.config = config
         self._poster = JsonPoster(config.url, config.timeout_s)
-        self._cache: dict[str, EmbeddingVector] = {}
 
     def close(self) -> None:
         self._poster.close()
@@ -345,12 +345,9 @@ class HttpEmbedder:
     def embed(self, texts: Sequence[str]) -> list[EmbeddingVector]:
         from http.client import HTTPException
 
-        misses = []
-        for text in texts:
-            if text not in self._cache and text not in misses:
-                misses.append(text)
-        for start in range(0, len(misses), self.config.batch_size):
-            batch = misses[start : start + self.config.batch_size]
+        out: list[EmbeddingVector] = []
+        for start in range(0, len(texts), self.config.batch_size):
+            batch = texts[start : start + self.config.batch_size]
             try:
                 status, body = self._poster.post({"texts": batch}, json_headers(self.config.api_key_env))
             except (OSError, HTTPException, ValueError) as exc:
@@ -369,8 +366,8 @@ class HttpEmbedder:
             for text, vector in zip(batch, parsed):
                 if not all(map(math.isfinite, vector.values)):
                     raise EmbedderError(f"non-finite embedding value for {text!r}")
-                self._cache[text] = vector
-        return [self._cache[text] for text in texts]
+            out.extend(parsed)
+        return out
 
 
 class TrigramEmbedder:

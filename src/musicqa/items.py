@@ -73,10 +73,15 @@ def normalize_binary_answer(raw: str) -> Optional[str]:
     return None
 
 
+def lettered_options(options: Sequence[str]) -> str:
+    """MCQ options as a question lists them after its stem: "A. x B. y"."""
+    return " ".join([f"{chr(65 + i)}. {option}" for i, option in enumerate(options)])
+
+
 def _mcq_stem(question: str, options: Sequence[str]) -> str:
     """Question text with the rendered lettered-options block removed."""
     if options:
-        suffix = " ".join(f"{chr(65 + i)}. {opt}" for i, opt in enumerate(options))
+        suffix = lettered_options(options)
         if question.endswith(suffix):
             return question[: -len(suffix)].rstrip()
     return question

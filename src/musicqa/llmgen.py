@@ -260,7 +260,8 @@ class LlmClient:
 
     Requests go out through a ``JsonPoster``: one keep-alive connection per
     calling thread, opened on the first cache miss and closed by ``close``.
-    A run served wholly from the cache loads no HTTP code.
+    The client sets no concurrency limit; its callers' threads bound the
+    connections.  A run served wholly from the cache loads no HTTP code.
     """
 
     def __init__(
@@ -276,7 +277,6 @@ class LlmClient:
         url = config.base_url.rstrip("/") + "/v1/chat/completions"
         self._poster = JsonPoster(url, config.timeout_s)
         self._sleep = sleep
-        self._sem = threading.BoundedSemaphore(max(1, config.concurrency))
         self._lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
         self._rng = random.Random()
@@ -338,10 +338,9 @@ class LlmClient:
         while True:
             error: MusicQaError
             try:
-                with self._sem:
-                    with self._lock:
-                        self.network_calls += 1
-                    status, body = self._poster.post(payload, json_headers(cfg.api_key_env))
+                with self._lock:
+                    self.network_calls += 1
+                status, body = self._poster.post(payload, json_headers(cfg.api_key_env))
             except TimeoutError:
                 error = RequestTimeoutError(f"request timed out after {cfg.timeout_s}s")
             except (OSError, HTTPException, ValueError) as exc:

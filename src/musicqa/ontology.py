@@ -110,35 +110,28 @@ def parse_ontology(raw: bytes | str) -> Ontology:
             is_abstract=bool(entry.get("abstract", False)),
         )
 
+    # the one pass that inverts the child relation: parents in file order
+    parents: dict[str, list[str]] = {node_id: [] for node_id in nodes}
     for node in nodes.values():
         for child in node.child_ids:
             if child not in nodes:
                 raise DanglingRefError(
                     f"node {node.id!r} references unknown child {child!r}"
                 )
-
-    _check_acyclic(nodes)
-
-    has_parent: set[str] = set()
-    parents: dict[str, list[str]] = {node_id: [] for node_id in nodes}
-    for node in nodes.values():
-        for child in node.child_ids:
-            has_parent.add(child)
             parents[child].append(node.id)
-    roots = tuple(node_id for node_id in nodes if node_id not in has_parent)
+
+    _check_acyclic(nodes, parents)
+
     return Ontology(
         nodes=nodes,
-        roots=roots,
+        roots=tuple(node_id for node_id, ids in parents.items() if not ids),
         parents={k: tuple(sorted(v)) for k, v in parents.items()},
     )
 
 
-def _check_acyclic(nodes: dict[str, OntologyNode]) -> None:
+def _check_acyclic(nodes: dict[str, OntologyNode], parents: dict[str, list[str]]) -> None:
     # Kahn's algorithm: leftover in-degree means a cycle.
-    indegree = {node_id: 0 for node_id in nodes}
-    for node in nodes.values():
-        for child in node.child_ids:
-            indegree[child] += 1
+    indegree = {node_id: len(ids) for node_id, ids in parents.items()}
     queue = deque(node_id for node_id, deg in indegree.items() if deg == 0)
     seen = 0
     while queue:

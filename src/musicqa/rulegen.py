@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .corpus import ClipRecord, LabelFrequencyTable
 from .errors import MusicQaError, ParseError
-from .items import Method, QAFormat, QAItem
+from .items import Method, QAFormat, QAItem, lettered_options
 from .ontology import Ontology, OntologyNode, leaf_labels, parent_categories
 
 _MASK64 = (1 << 64) - 1
@@ -348,21 +348,10 @@ def sample_distractors(pool: DistractorPool, k: int, seed: int) -> list[str]:
 # Generation
 
 
-_LETTERED = tuple(f"{chr(65 + i)}. " for i in range(26))
+class _Category(NamedTuple):
+    """Everything for_clip needs for a leaf's top-level category, precomputed."""
 
-
-def _render_mcq_question(stem: str, options: list[str]) -> str:
-    parts = [stem]
-    parts.extend(_LETTERED[i] + opt for i, opt in enumerate(options))
-    return " ".join(parts)
-
-
-class _LeafContext(NamedTuple):
-    """Everything for_clip needs for one leaf, precomputed."""
-
-    leaf_name: str
-    leaf_lower: str
-    category_lower: str
+    lower: str
     # (template_id, prepared text) per format: the question for open, the
     # parts around {label} for binary, the stem for MCQ
     templates: dict[QAFormat, tuple[tuple[str, object], ...]]
@@ -402,44 +391,30 @@ class RuleGenerator:
             if count > 0
         )
 
-        leaf_category: dict[str, OntologyNode] = {}
-        candidates_by_category: dict[str, list[PoolCandidate]] = {}
+        # one walk over the leaves: each leaf's name and category, and the
+        # candidates of its category's pool and of the whole-music pool
+        candidates: list[PoolCandidate] = []
+        category_members: dict[str, list[PoolCandidate]] = {}
+        self._leaves: dict[str, tuple[str, str, str]] = {}  # (name, lower-case name, category id)
         for leaf_id in sorted(self._leaf_ids):
-            category = self._category_node(ontology, leaf_id, music_root)
-            leaf_category[leaf_id] = category
-            weight = float(freqs.counts.get(leaf_id, 0))
-            candidates_by_category.setdefault(category.id, []).append(
-                PoolCandidate(leaf_id, ontology.nodes[leaf_id].name, weight)
-            )
-        pools = {
-            cat_id: _pool_arrays(cands) for cat_id, cands in candidates_by_category.items()
-        }
-        self._music_pool = _pool_arrays(
-            PoolCandidate(lid, ontology.nodes[lid].name, float(freqs.counts.get(lid, 0)))
-            for lid in sorted(self._leaf_ids)
-        )
-
-        rendered: dict[str, dict] = {}
-        for cat_id in candidates_by_category:
-            category_lower = ontology.nodes[cat_id].name.lower()
-            rendered[cat_id] = {
+            name = ontology.nodes[leaf_id].name
+            category_id = self._category_node(ontology, leaf_id, music_root).id
+            candidate = PoolCandidate(leaf_id, name, float(freqs.counts.get(leaf_id, 0)))
+            candidates.append(candidate)
+            category_members.setdefault(category_id, []).append(candidate)
+            self._leaves[leaf_id] = (name, name.lower(), category_id)
+        self._music_pool = _pool_arrays(candidates)
+        self._categories: dict[str, _Category] = {}
+        for category_id, members in category_members.items():
+            category_lower = ontology.nodes[category_id].name.lower()
+            rendered = {
                 fmt: tuple(
                     (t.template_id, self._prepared(t, category_lower))
                     for t in _matching_templates(templates, fmt, category_lower)
                 )
                 for fmt in _RULE_FORMATS
             }
-        self._leaf_context: dict[str, _LeafContext] = {}
-        for leaf_id in sorted(self._leaf_ids):
-            category = leaf_category[leaf_id]
-            name = ontology.nodes[leaf_id].name
-            self._leaf_context[leaf_id] = _LeafContext(
-                leaf_name=name,
-                leaf_lower=name.lower(),
-                category_lower=category.name.lower(),
-                templates=rendered[category.id],
-                pool=pools[category.id],
-            )
+            self._categories[category_id] = _Category(category_lower, rendered, _pool_arrays(members))
 
     @staticmethod
     def _prepared(t: QuestionTemplate, category_lower: str) -> str | tuple[str, ...]:
@@ -484,14 +459,12 @@ class RuleGenerator:
         items: list[QAItem] = []
         counter = 0
         for leaf_id in leaves:
-            ctx = self._leaf_context[leaf_id]
-            leaf_name = ctx.leaf_name
-            category_lower = ctx.category_lower
-            pool = ctx.pool
+            leaf_name, leaf_lower, category_id = self._leaves[leaf_id]
+            category_lower, category_templates, pool = self._categories[category_id]
             binary_pool = pool if _eligible_count(pool, excluded) >= 1 else music_pool
             mcq_pool = pool if _eligible_count(pool, excluded) >= k_distractors else music_pool
             for fmt, count in self._plan_seq:
-                templates = ctx.templates[fmt]
+                templates = category_templates[fmt]
                 for _ in range(count):
                     n = counter
                     counter += 1
@@ -508,7 +481,7 @@ class RuleGenerator:
                     if fmt is QAFormat.OPEN:
                         question = text
                     elif fmt is QAFormat.BINARY:
-                        asked_lower = ctx.leaf_lower
+                        asked_lower = leaf_lower
                         positive = not ent_body >> 63
                         if not positive:
                             try:
@@ -534,7 +507,7 @@ class RuleGenerator:
                         for i in range(len(shuffled) - 1, 0, -1):
                             j = int(sm.next01() * (i + 1))
                             shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-                        question = _render_mcq_question(text, shuffled)
+                        question = f"{text} {lettered_options(shuffled)}"
                         options = tuple(shuffled)
                         answer_index = shuffled.index(leaf_name)
                     items.append(

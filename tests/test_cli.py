@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -284,6 +285,17 @@ def test_generate_rule_source_filter(ws, capsys):
     assert items and {item.audio_id for item in items} == {"c01", "c05"}
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_generate_rule_workers_flag_below_one_is_usage_error(ws, capsys, workers):
+    code, _, cap = run(
+        capsys, "generate-rule", "--config", str(ws / "config.json"), "--seed", "1",
+        "--workers", workers,
+    )
+    assert code == EXIT_USAGE
+    assert "--workers" in cap.err and "Traceback" not in cap.err
+    assert not (ws / "out").exists()
+
+
 def _generate(ws, capsys, seed="7"):
     cfg = str(ws / "config.json")
     code, summary, _ = run(capsys, "generate-rule", "--config", cfg, "--seed", seed)
@@ -399,6 +411,42 @@ def test_stats_out_file(ws, capsys):
     code, summary, _ = run(capsys, "stats", "--out", out, items_path)
     assert code == EXIT_OK
     assert json.loads(Path(out).read_text())["grand_total"] == summary["total"]
+
+
+def _split_inputs(ws, capsys):
+    """The generated items, the first half as a shard directory, the rest as a JSONL file."""
+    items = read_items_jsonl(_generate(ws, capsys))
+    half = len(items) // 2
+    write_shards(items[:half], 10, ws / "half_shards")
+    write_items_jsonl(items[half:], ws / "half.jsonl")
+    return items, str(ws / "half_shards"), str(ws / "half.jsonl")
+
+
+def test_stats_of_a_shard_dir_and_a_file_counts_both(ws, capsys):
+    items, shard_dir, half_file = _split_inputs(ws, capsys)
+    write_items_jsonl(items, ws / "all.jsonl")
+    code, summary, cap = run(capsys, "stats", shard_dir, half_file)
+    assert code == EXIT_OK and summary["items"] == len(items)
+    _, _, whole = run(capsys, "stats", str(ws / "all.jsonl"))
+    assert cap.out.splitlines()[:-1] == whole.out.splitlines()[:-1]
+
+
+def test_validate_of_a_shard_dir_and_a_file_checks_both(ws, capsys):
+    items, shard_dir, half_file = _split_inputs(ws, capsys)
+    code, summary, _ = run(capsys, "validate", shard_dir, half_file)
+    assert code == EXIT_OK
+    assert summary["items"] == len(items) and summary["invalid"] == 0
+
+
+def test_stats_source_filter_keeps_only_that_source(ws, capsys):
+    items_path = _generate(ws, capsys)
+    items = read_items_jsonl(items_path)
+    fma = sum(item.source is Source.FMA for item in items)
+    code, summary, cap = run(capsys, "stats", "--source-filter", "FMA", items_path)
+    assert code == EXIT_OK
+    assert 0 < summary["items"] == fma < len(items)
+    doc = json.loads("\n".join(cap.out.splitlines()[:-1]))
+    assert all(key.startswith("FMA/") for key, count in doc["per_source_task"].items() if count)
 
 
 def test_validate_clean_and_corrupted(ws, capsys):
@@ -521,6 +569,99 @@ def test_eval_all_tasks(ws, capsys):
     assert summary["total"] == len(items)
 
 
+def _echo_outputs(ws, items):
+    path = ws / "echo_outputs.jsonl"
+    path.write_text("\n".join(json.dumps({"qa_id": item.qa_id, "text": item.answer}) for item in items))
+    return str(path)
+
+
+def test_eval_of_a_shard_dir_and_a_file_scores_both(ws, capsys):
+    items, shard_dir, half_file = _split_inputs(ws, capsys)
+    code, summary, _ = run(
+        capsys, "eval", "--items", shard_dir, "--items", half_file,
+        "--outputs", _echo_outputs(ws, items),
+    )
+    assert code == EXIT_OK
+    assert summary["total"] == len(items)
+    assert set(summary["tasks"].values()) == {1.0}
+
+
+def test_eval_source_filter_keeps_only_that_source(ws, capsys):
+    items_path = _generate(ws, capsys)
+    items = read_items_jsonl(items_path)
+    fma = [item for item in items if item.source is Source.FMA]
+    outputs = _echo_outputs(ws, fma)
+    code, summary, _ = run(capsys, "eval", "--items", items_path, "--outputs", outputs)
+    assert code == EXIT_OK and summary["total"] == len(items)
+    code, summary, _ = run(
+        capsys, "eval", "--source-filter", "FMA", "--items", items_path, "--outputs", outputs,
+    )
+    assert code == EXIT_OK
+    assert 0 < summary["total"] == len(fma) < len(items)
+    assert set(summary["tasks"].values()) == {1.0}
+
+
+# ---------------------------------------------------------------------------
+# Pinned bytes of the dataset commands
+
+
+def _dataset_chain(ws, capsys):
+    """Run generate-rule, assemble with one import, stats and eval; sha256 per output."""
+    items_path = _generate(ws, capsys)
+    files = {
+        "rule_items.jsonl": Path(items_path).read_bytes(),
+        "rule_items.jsonl.report.json": Path(items_path + ".report.json").read_bytes(),
+    }
+    captions = ws / "captions.jsonl"
+    captions.write_text("\n".join(json.dumps(row) for row in [
+        {"audio_id": "mc-1", "caption": "A solo cello piece in a large hall."},
+        {"audio_id": "mc-2", "caption": "Bright brass fanfare over snare rolls."},
+    ]) + "\n")
+    out_dir = ws / "ds"
+    code, _, _ = run(
+        capsys, "assemble", "--config", str(ws / "config.json"), "--seed", "3",
+        "--out", str(out_dir), "--import", f"MusicCaps={captions}", items_path,
+    )
+    assert code == EXIT_OK
+    files.update(
+        (str(path.relative_to(out_dir)), path.read_bytes())
+        for path in sorted(out_dir.rglob("*")) if path.is_file()
+    )
+    split_dirs = [str(out_dir / split) for split in ("train", "val", "test")]
+    code, _, cap = run(capsys, "stats", *split_dirs)
+    assert code == EXIT_OK
+    files["stats stdout"] = "\n".join(cap.out.splitlines()[:-1]).encode("utf-8")
+    outputs = _echo_outputs(ws, [item for split in split_dirs for item in read_shards(split)])
+    items_args = [arg for split in split_dirs for arg in ("--items", split)]
+    code, summary, cap = run(capsys, "eval", "--task", "all", *items_args, "--outputs", outputs)
+    assert code == EXIT_OK
+    assert set(summary["tasks"]) == {"mcq", "binary", "label_match", "caption"}
+    files["eval stdout"] = "\n".join(cap.out.splitlines()[:-1]).encode("utf-8")
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
+# sha256 of each output of the chain; any change to these bytes is a change to
+# what the dataset commands write
+PINNED_CHAIN_DIGESTS = {
+    "rule_items.jsonl": "d6af9562b5e59830ead5b1a5c8a731e78bd82cc939a1c7b3e618fe0cdc657209",
+    "rule_items.jsonl.report.json": "2e95b5371dfbefa67ad862eed20b88fd97bff89f9161ba5c970cf7ac78bbdc57",
+    "splits.json": "a54952759d36c732f2f97f944830bbb82a44d06a53e523e7ad46e7128c166224",
+    "stats.json": "bf5c914f481b888923b42057e877201f7f180bb14fedd02fd1141713d8270b3c",
+    "test/manifest.json": "7dacfb724b37d96a06959d2f81547a80debc5cec861dd05f54559b9668e2b848",
+    "train/manifest.json": "373d8fecc00f42167b05518609a68d7fa607166c86e56b88629ad2a0a9da2b9c",
+    "train/shard-00000.jsonl": "e0361d71644155aabf1fe75dce6c7955ba589ed2dc97c1538afc74366e98aa18",
+    "train/shard-00001.jsonl": "b371e348987198e3b49ad27d5c03fcab2145e611c21cb242089d2fe399332cb1",
+    "val/manifest.json": "88e68f51d7dd77114349b36b13d61cd50a7ef4dc3eeea2fa8e3c3c3a5a23911a",
+    "val/shard-00000.jsonl": "437846b937d02b5e0263dd05f546e714ce5f4d53a390a3d9338875c38d5accb1",
+    "stats stdout": "d938a286d67737a599c47252a0b34855b380cd538139850fb37fc8973d19ac1c",
+    "eval stdout": "f7731ddada5a1283823a6b96299976646851374a7c41e498e4860914c4aeb576",
+}
+
+
+def test_dataset_chain_bytes_pinned(ws, capsys):
+    assert _dataset_chain(ws, capsys) == PINNED_CHAIN_DIGESTS
+
+
 # ---------------------------------------------------------------------------
 # generate-llm subcommand
 
@@ -586,6 +727,56 @@ def test_generate_llm_rejects_unknown_llm_keys(ws, capsys):
     code, _, cap = run(capsys, "generate-llm", "--config", str(ws / "bad.json"))
     assert code == EXIT_USAGE
     assert "api_key" in cap.err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("concurrency", "2"),
+    ("concurrency", True),
+    ("concurrency", 0),
+    ("max_retries", "3"),
+    ("max_retries", 1.5),
+    ("temperature", "1"),
+    ("timeout_s", math.nan),
+    ("backoff_cap_s", None),
+    ("model", 5),
+    ("per_pair", True),
+    ("per_pair", 0),
+    ("per_pair", "2"),
+])
+def test_llm_setting_of_wrong_type_is_usage_error(ws, capsys, key, value):
+    config = json.loads((ws / "config.json").read_text())
+    config["llm"] = {"base_url": "http://localhost:9", "model": "m", key: value}
+    (ws / "bad.json").write_text(json.dumps(config))
+    code, _, cap = run(capsys, "generate-llm", "--config", str(ws / "bad.json"))
+    assert code == EXIT_USAGE
+    assert cap.err.startswith("error: ") and repr(key) in cap.err
+    assert "Traceback" not in cap.err
+    assert not (ws / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", "8"),
+    ("batch_size", True),
+    ("batch_size", 0),
+    ("batch_size", -1),
+    ("timeout_s", "60"),
+    ("api_key_env", 1),
+    ("batchsize", 8),
+])
+def test_embedder_setting_of_wrong_type_or_unknown_is_usage_error(ws, capsys, key, value):
+    items_path = _generate(ws, capsys)
+    outputs = _echo_outputs(ws, read_items_jsonl(items_path))
+    config = json.loads((ws / "config.json").read_text())
+    # nothing listens on port 9: a request that went out would fail with exit 3
+    config["embedder"] = {"url": "http://localhost:9/embed", key: value}
+    (ws / "bad.json").write_text(json.dumps(config))
+    code, _, cap = run(
+        capsys, "eval", "--config", str(ws / "bad.json"), "--items", items_path,
+        "--outputs", outputs,
+    )
+    assert code == EXIT_USAGE
+    assert cap.err.startswith("error: ") and repr(key) in cap.err
+    assert "Traceback" not in cap.err
 
 
 # ---------------------------------------------------------------------------
