@@ -479,15 +479,20 @@ def cmd_eval(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     _bind("evalharness")
     _check_section("embedder", cfg.embedder, EmbedderConfig)
     _check_positive("embedder", cfg.embedder, "batch_size")
-    items = _apply_item_filters(_read_items(args.items), args)
+    read = _read_items(args.items)
+    items = _apply_item_filters(read, args)
     with _reading(args.outputs):
         outputs = load_outputs_jsonl(Path(args.outputs).read_bytes())
+    # an output may answer an item the filters drop; only an id that no
+    # --items input holds is an error
+    known = {item.qa_id for item in read}
     by_id = {item.qa_id: item for item in items}
     outputs_for = {fmt: [] for fmt in QAFormat}
     for output in outputs:
-        if output.qa_id not in by_id:
+        if output.qa_id in by_id:
+            outputs_for[by_id[output.qa_id].format].append(output)
+        elif output.qa_id not in known:
             raise UnknownQaIdError(f"output references unknown qa_id {output.qa_id!r}")
-        outputs_for[by_id[output.qa_id].format].append(output)
     items_for = {fmt: [item for item in items if item.format == fmt] for fmt in QAFormat}
 
     category_map = None

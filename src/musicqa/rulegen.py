@@ -21,7 +21,6 @@ cumulative weight tables.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -566,6 +565,8 @@ def generate_rule_dataset(
     if workers <= 1 or len(clips) < 2 * workers:
         items, report = _run_batch(gen, clips)
     else:
+        import multiprocessing  # loaded only for a pool, so one worker starts faster
+
         chunk = max(1, len(clips) // (workers * 4))
         batches = [clips[i : i + chunk] for i in range(0, len(clips), chunk)]
         ctx = multiprocessing.get_context("fork")

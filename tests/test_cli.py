@@ -112,8 +112,24 @@ def _command_argv(ws, mock_endpoint, command):
     if command == "eval":
         items_path, outputs_path = eval_fixture(ws)
         return ["eval", "--items", items_path, "--outputs", outputs_path]
-    if command == "generate-rule":
-        return ["generate-rule", "--config", cfg, "--seed", "7"]
+    if command == "eval with an embedder":
+        items = [
+            QAItem(qa_id=f"{i:016x}", audio_id=f"clip{i}", source=Source.FMA, format=QAFormat.OPEN,
+                   question="Which instrument leads?", options=(), answer=answer, answer_index=None,
+                   category="instrument", method=Method.RULE, template_id="open-1", seed=0)
+            for i, answer in enumerate(["Guitar", "Piano"])
+        ]
+        items_path = ws / "open_items.jsonl"
+        write_items_jsonl(items, items_path)
+        # one request embeds the two labels, which the outputs echo
+        mock_endpoint.script((200, {"embeddings": [[1.0, 0.0], [0.0, 1.0]]}))
+        config = json.loads((ws / "config.json").read_text())
+        config["embedder"] = {"url": mock_endpoint.url}
+        (ws / "embedder.json").write_text(json.dumps(config))
+        return ["eval", "--config", str(ws / "embedder.json"), "--items", str(items_path),
+                "--outputs", _echo_outputs(ws, items)]
+    if command.startswith("generate-rule"):
+        return ["generate-rule", "--config", cfg, "--seed", "7", *command.split()[1:]]
     mock_endpoint.script((200, MockEndpoint.chat_body(LLM_ARRAY)))
     return ["generate-llm", "--config", llm_config(ws, mock_endpoint.url)]
 
@@ -121,8 +137,10 @@ def _command_argv(ws, mock_endpoint, command):
 @pytest.mark.parametrize("command, modules, stdlib", [
     ("--help", [], []),
     ("validate", [], []),
-    ("eval", ["musicqa.evalharness", "musicqa.jsonpost"], []),
-    ("generate-rule", ["musicqa.ontology", "musicqa.rulegen"], ["multiprocessing"]),
+    ("eval", ["musicqa.evalharness"], []),
+    ("eval with an embedder", ["musicqa.evalharness", "musicqa.jsonpost"], []),
+    ("generate-rule", ["musicqa.ontology", "musicqa.rulegen"], []),
+    ("generate-rule --workers 2", ["musicqa.ontology", "musicqa.rulegen"], ["multiprocessing"]),
     ("generate-llm", ["musicqa.jsonpost", "musicqa.llmgen"], ["logging", "concurrent.futures"]),
 ])
 def test_each_command_imports_only_what_it_runs(ws, mock_endpoint, command, modules, stdlib):
@@ -599,6 +617,34 @@ def test_eval_source_filter_keeps_only_that_source(ws, capsys):
     assert code == EXIT_OK
     assert 0 < summary["total"] == len(fma) < len(items)
     assert set(summary["tasks"].values()) == {1.0}
+
+
+@pytest.mark.parametrize("flag, value", [("--source-filter", "FMA"), ("--format-filter", "mcq")])
+def test_eval_filter_ignores_outputs_for_dropped_items(ws, capsys, flag, value):
+    # outputs for every item, filtered items included: only the kept items
+    # are scored, and the rest of the outputs are not unknown ids
+    items_path = _generate(ws, capsys)
+    items = read_items_jsonl(items_path)
+    kept = [item for item in items
+            if (item.source is Source.FMA if flag == "--source-filter" else item.format is QAFormat.MCQ)]
+    outputs = _echo_outputs(ws, items)
+    code, summary, _ = run(capsys, "eval", flag, value, "--items", items_path, "--outputs", outputs)
+    assert code == EXIT_OK
+    assert 0 < summary["total"] == len(kept) < len(items)
+    assert set(summary["tasks"].values()) == {1.0}
+    if flag == "--format-filter":
+        assert list(summary["tasks"]) == ["mcq"]
+
+
+def test_eval_filter_still_rejects_an_unknown_id(ws, capsys):
+    items_path = _generate(ws, capsys)
+    outputs = ws / "outputs.jsonl"
+    outputs.write_text(json.dumps({"qa_id": "not-a-real-id", "text": "A"}))
+    code, _, cap = run(
+        capsys, "eval", "--source-filter", "FMA", "--items", items_path, "--outputs", str(outputs),
+    )
+    assert code == EXIT_DATA
+    assert "not-a-real-id" in cap.err
 
 
 # ---------------------------------------------------------------------------

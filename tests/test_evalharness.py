@@ -531,7 +531,8 @@ def test_meteor_scrambled_chunks():
 # over every alignment that came before the continuation search exhausted its
 # budget on it and fell back to the greedy aligner's 38 chunks.
 # EXHAUSTS_BUDGET (40 tokens each over two words) is repetitive enough that
-# the search still runs out of budget and falls back to the greedy aligner.
+# the link search still runs out of budget (it needs more than ten million
+# units) and falls back to the greedy aligner.
 SOLVED_EXACTLY = (
     "a soft piano plays the theme and the warm bass joins in as the drums play a slow "
     "beat under the sad voice of the singer in a small room",
@@ -577,16 +578,77 @@ def test_meteor_pinned_breakdowns():
     assert meteor_exact(*EXHAUSTS_BUDGET).chunks == evalharness._min_chunks_greedy(*problem) == 23
 
 
-@pytest.mark.parametrize("pair, nodes", [
-    (("a b", "a x a b"), 2), (SOLVED_EXACTLY, 48), (LONG_SOLVED_EXACTLY, 524),
+_FUNCTION_WORDS = ("the", "a", "and", "of", "with", "is", "in", "this", "that", "to", "it",
+                   "by", "as", "an", "on")
+_CONTENT_WORDS = tuple(
+    "song music melody guitar piano drums bass rhythm tempo fast slow upbeat mellow acoustic "
+    "electric groove beat synth strings vocal female male soft loud bright dark harmony chords "
+    "percussion organ ambient dance pop rock jazz folk live studio".split()
+)
+_ZIPF = [1 / (rank + 1) ** 1.1 for rank in range(len(_CONTENT_WORDS))]
+
+
+def caption_and_paraphrase(n_words, seed):
+    """A caption of ``n_words`` words and a model-style paraphrase of it.
+
+    About 40% of the caption's words are function words, and content words
+    are Zipf-skewed; the paraphrase keeps about 60% of the words and swaps
+    the rest for content words.  Both depend on (n_words, seed) alone.
+    """
+    rng = random.Random(f"caption-{n_words}-{seed}")
+
+    def content():
+        return rng.choices(_CONTENT_WORDS, _ZIPF)[0]
+
+    caption = [rng.choice(_FUNCTION_WORDS) if rng.random() < 0.4 else content()
+               for _ in range(n_words)]
+    paraphrase = [word if rng.random() < 0.6 else content() for word in caption]
+    return " ".join(caption), " ".join(paraphrase)
+
+
+# a model output that loops, scored against its caption: (words, shape, output, caption)
+REPETITIVE_SHAPES = [
+    (n_words, shape, output, caption)
+    for n_words in (40, 60, 80)
+    for caption, paraphrase in [caption_and_paraphrase(n_words, 0)]
+    for shape, output in [
+        ("caption x2", f"{caption} {caption}"),
+        ("caption x3", f"{caption} {caption} {caption}"),
+        ("paraphrase x2", f"{paraphrase} {paraphrase}"),
+        ("caption then paraphrase", f"{caption} {paraphrase}"),
+    ]
+]
+# "paraphrase x2" chunk counts.  The continuation search below confirms 15
+# and 28 given 20 million nodes (it does not finish 80 words in that many);
+# an exact memoized search with no bound, over a conflict graph built link
+# by link, gives all three.
+PARAPHRASE_TWICE_CHUNKS = {40: 15, 60: 28, 80: 36}
+
+
+@pytest.mark.parametrize("n_words, shape, output, caption", REPETITIVE_SHAPES,
+                         ids=[f"{n_words} words, {shape}" for n_words, shape, _, _ in REPETITIVE_SHAPES])
+def test_meteor_repetitive_outputs_solved_exactly(n_words, shape, output, caption):
+    # an output that starts with the caption aligns its first copy as one
+    # chunk, which is the minimum; the search must prove each count within
+    # the budget, not fall back to the greedy aligner
+    cand, ref, quota = chunk_problem(output, caption)
+    expected = PARAPHRASE_TWICE_CHUNKS[n_words] if shape == "paraphrase x2" else 1
+    assert evalharness._min_chunks_exact(cand, ref, quota, evalharness._CHUNK_SEARCH_BUDGET) == expected
+
+
+@pytest.mark.parametrize("pair, units", [
+    (("a b", "a x a b"), 2), (SOLVED_EXACTLY, 46), (LONG_SOLVED_EXACTLY, 122),
+    (REPETITIVE_SHAPES[6][2:], 3772),
 ])
-def test_meteor_budget_counts_every_node(pair, nodes):
-    # the budget counts every visited node, memo hits and finished branches
-    # included; a search that needs `nodes` nodes fails with one fewer
+def test_meteor_budget_counts_every_unit(pair, units):
+    # the budget counts every unit of work: the rows and columns of each
+    # component, the greedy set's tries, the conflict masks, each reduction
+    # pass and each search node (only the last pair reaches the branch and
+    # bound); a search that needs `units` units fails with one fewer
     cand, ref, quota = chunk_problem(*pair)
-    assert evalharness._min_chunks_exact(cand, ref, quota, nodes) == meteor_exact(*pair).chunks
+    assert evalharness._min_chunks_exact(cand, ref, quota, units) == meteor_exact(*pair).chunks
     with pytest.raises(evalharness._Budget):
-        evalharness._min_chunks_exact(cand, ref, quota, nodes - 1)
+        evalharness._min_chunks_exact(cand, ref, quota, units - 1)
 
 
 @pytest.mark.parametrize("pair", [("a b", "a x a b"), SOLVED_EXACTLY, LONG_SOLVED_EXACTLY])
@@ -596,9 +658,8 @@ def test_meteor_small_budget_falls_back_to_greedy(monkeypatch, pair):
 
 
 def test_meteor_long_caption_late_match():
-    # 700 unmatched words, then one match: the search recurses once per
-    # candidate position, so this stays under Python's default recursion
-    # limit of 1000; values computed with the previous search
+    # 700 unmatched words, then one match; values computed with the
+    # continuation search, which recursed once per candidate position
     candidate = " ".join([f"filler{k}" for k in range(700)] + ["guitar"])
     assert meteor_exact(candidate, "a bright guitar riff") == MeteorBreakdown(
         m=1, precision=0.0014265335235378032, recall=0.25, fmean=0.013568521031207599,
@@ -606,10 +667,9 @@ def test_meteor_long_caption_late_match():
     )
 
 
-def test_meteor_output_past_recursion_limit_falls_back_to_greedy(monkeypatch):
-    # the exact search recurses once per candidate position; an output longer
-    # than the recursion limit is scored by the greedy aligner, as when the
-    # node budget runs out
+def test_meteor_output_past_recursion_limit_solved_exactly(monkeypatch):
+    # an output longer than the interpreter's recursion limit is scored
+    # exactly, not by the greedy aligner: the link search keeps its own stack
     greedy_calls = []
     greedy = evalharness._min_chunks_greedy
     monkeypatch.setattr(evalharness, "_min_chunks_greedy",
@@ -622,7 +682,7 @@ def test_meteor_output_past_recursion_limit_falls_back_to_greedy(monkeypatch):
         m=1, precision=precision, recall=recall, fmean=fmean,
         chunks=1, penalty=0.5, score=fmean * 0.5,
     )
-    assert len(greedy_calls) == 1
+    assert greedy_calls == []
 
 
 def oracle_min_chunks(cand, ref):
@@ -743,6 +803,91 @@ def test_meteor_chunks_match_reference_search(seed):
         assert evalharness._min_chunks_exact(*problem, evalharness._CHUNK_SEARCH_BUDGET) == expected, pair
         compared += 1
     assert compared >= 25
+
+
+def continuation_min_chunks(cand, ref, quota, budget):
+    """Fewest chunks by the continuation search, a second reference.
+
+    The exact search of ``meteor_exact`` before the link search.  It walks
+    the candidate positions: it continues the current run, starts a run on
+    a shared bigram, or leaves the position to the final fill.  It is
+    memoized on (position, used reference positions that a later run can
+    still touch, run target), pruned by the later positions whose
+    preceding bigram occurs in the reference, and raises _Budget past
+    ``budget`` nodes.
+    """
+    n, r = len(cand), len(ref)
+    starts = [[j for j in range(r - 1) if (ref[j], ref[j + 1]) == pair]
+              for pair in zip(cand, cand[1:])] + [[]]
+    cap = [0] * (n + 2)
+    reach = [0] * (n + 2)
+    for k in range(n - 1, -1, -1):
+        cap[k] = cap[k + 1] + bool(k and starts[k - 1])
+        reach[k] = reach[k + 1]
+        for j in starts[k]:
+            reach[k] |= 3 << j
+    k_bits = (n + 1).bit_length()
+    shift = (r + 1).bit_length() + k_bits
+    memo = {}
+    nodes_left = budget
+
+    def target(k, used, j):
+        if k < n and j < r and cand[k] == ref[j] and not used >> j & 1:
+            return j
+        return -1
+
+    def solve(k, used, t):
+        nonlocal nodes_left
+        nodes_left -= 1
+        if nodes_left < 0:
+            raise evalharness._Budget
+        if k >= n:
+            return 0
+        key = (used & reach[k]) << shift | (t + 1) << k_bits | k
+        best = memo.get(key)
+        if best is not None:
+            return best
+        best = -1
+        if t >= 0:
+            used_t = used | 1 << t
+            best = 1 + solve(k + 1, used_t, target(k + 1, used_t, t + 1))
+        for j in starts[k]:
+            if best >= 1 + cap[k + 2]:
+                break
+            if j == t or used >> j & 3:
+                continue
+            used_j = used | 3 << j
+            best = max(best, 1 + solve(k + 2, used_j, target(k + 2, used_j, j + 2)))
+        if best < 0 or best < cap[k + 1]:
+            best = max(best, solve(k + 1, used, -1))
+        memo[key] = best
+        return best
+
+    return sum(quota.values()) - solve(0, 0, -1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_meteor_chunks_match_continuation_search(seed):
+    # caption-shaped pairs, a paraphrase of 10-80 words against its caption,
+    # then random pairs of 5-24 tokens over 2-8 words wherever the
+    # continuation search finishes within 200k nodes
+    for n_words in range(10, 90, 10):
+        caption, paraphrase = caption_and_paraphrase(n_words, seed)
+        problem = chunk_problem(paraphrase, caption)
+        expected = continuation_min_chunks(*problem, 200_000)
+        assert evalharness._min_chunks_exact(*problem, evalharness._CHUNK_SEARCH_BUDGET) == expected
+    rng = random.Random(seed)
+    compared = 0
+    for _ in range(60):
+        words = [f"w{k}" for k in range(rng.randint(2, 8))]
+        problem = chunk_problem(*(" ".join(rng.choices(words, k=rng.randint(5, 24))) for _ in range(2)))
+        try:
+            expected = continuation_min_chunks(*problem, 200_000)
+        except evalharness._Budget:
+            continue
+        assert evalharness._min_chunks_exact(*problem, evalharness._CHUNK_SEARCH_BUDGET) == expected
+        compared += 1
+    assert compared >= 50
 
 
 @settings(max_examples=60, deadline=None)
